@@ -9,7 +9,7 @@ quotient by the class of -1, and classes are labeled by min(r, m0 - r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .arith import euler_phi, factorize, is_prime, mult_order, primes_up_to
@@ -100,10 +100,6 @@ class RayClassGroup:
     def order(self) -> int:
         return self.group.order
 
-    @cached_property
-    def _id_of_label(self) -> dict[int, int]:
-        return {self.group.label_of(i): i for i in self.group.elements}
-
     def canonical_label(self, residue: int) -> int:
         m0 = self.modulus.m0
         if m0 == 1:
@@ -116,7 +112,7 @@ class RayClassGroup:
         return r
 
     def class_of(self, residue: int) -> "RayClass":
-        return RayClass(parent=self, element=self._id_of_label[self.canonical_label(residue)])
+        return RayClass(parent=self, element=self.group.id_of(self.canonical_label(residue)))
 
 
 @dataclass(frozen=True)
@@ -427,15 +423,22 @@ def _collect_exponents(path: tuple[tuple[int, int], ...]) -> tuple[tuple[int, in
     return tuple(sorted((p, e) for p, e in exps.items() if e != 0))
 
 
-def _verify_witness(a: int, d: int, witness: tuple[tuple[int, int], ...]) -> None:
-    dd = abs(d)
+def witness_fraction(a: int, witness: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(numerator, denominator) of s = a * prod p**(-e) over the witness pairs (p, e)."""
     num, den = a, 1
     for p, e in witness:
-        if kronecker(d, p) != 1:
-            raise WitnessNotFoundError(f"witness prime {p} has symbol != +1")
         if e > 0:
             den *= p**e
         else:
             num *= p ** (-e)
+    return num, den
+
+
+def _verify_witness(a: int, d: int, witness: tuple[tuple[int, int], ...]) -> None:
+    dd = abs(d)
+    for p, _ in witness:
+        if kronecker(d, p) != 1:
+            raise WitnessNotFoundError(f"witness prime {p} has symbol != +1")
+    num, den = witness_fraction(a, witness)
     if num % dd != den % dd:
         raise WitnessNotFoundError(f"witness for a={a}, d={d} fails s = 1 mod {dd}")

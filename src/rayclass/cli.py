@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import classfield, groups, splitting, symbols, verify
-from .errors import RayclassError, WitnessNotFoundError
+from .errors import InvalidArgumentError, RayclassError, WitnessNotFoundError
 
 SCHEMA_VERSION = "1"
 
@@ -75,18 +75,11 @@ def cmd_symbol(args) -> int:
 
 def cmd_transfer(args) -> int:
     G = groups.group_from_unit_residues(args.mod)
-    labels = {G.label_of(i): i for i in G.elements}
-    gens = set()
-    for tok in args.subgroup.split(","):
-        r = int(tok) % args.mod
-        if r not in labels:
-            raise RayclassError(f"residue {tok} is not coprime to {args.mod}")
-        gens.add(labels[r])
-    if args.element % args.mod not in labels:
-        raise RayclassError(f"element {args.element} is not coprime to {args.mod}")
+    gens = {_unit_id(G, args.mod, tok, "residue") for tok in args.subgroup.split(",")}
+    g = _unit_id(G, args.mod, args.element, "element")
     U = groups.subgroup_generated(G, gens)
     dec = groups.coset_decomposition(G, U)
-    result = groups.transfer(G, U, labels[args.element % args.mod], dec)
+    result = groups.transfer(G, U, g, dec)
     contributions = [
         {
             "r_i": G.label_of(dec.reps[i]),
@@ -114,27 +107,21 @@ def cmd_splitting(args) -> int:
     if variant == "quadratic":
         if len(args.field) != 2:
             raise _usage("--field quadratic needs exactly one discriminant")
-        d = classfield.FundamentalDiscriminant(int(args.field[1]))
+        d = classfield.FundamentalDiscriminant(_int(args.field[1]))
         st = splitting.splitting_quadratic(args.prime, d)
         field_desc = {"variant": "quadratic", "d": d.d}
     elif variant == "cyclotomic":
         if len(args.field) != 2:
             raise _usage("--field cyclotomic needs exactly one m")
-        m = int(args.field[1])
+        m = _int(args.field[1])
         st = splitting.splitting_cyclotomic(args.prime, m)
         field_desc = {"variant": "cyclotomic", "m": m}
     elif variant == "subfield":
         if len(args.field) != 3:
             raise _usage("--field subfield needs m and comma-separated generators")
-        m = int(args.field[1])
+        m = _int(args.field[1])
         G = groups.group_from_unit_residues(m)
-        labels = {G.label_of(i): i for i in G.elements}
-        gens = set()
-        for tok in args.field[2].split(","):
-            r = int(tok) % m
-            if r not in labels:
-                raise RayclassError(f"generator {tok} is not coprime to {m}")
-            gens.add(labels[r])
+        gens = {_unit_id(G, m, tok, "generator") for tok in args.field[2].split(",")}
         U = groups.subgroup_generated(G, gens)
         st = splitting.splitting_in_subfield(args.prime, m, U)
         field_desc = {"variant": "subfield", "m": m, "generators": args.field[2]}
@@ -153,12 +140,7 @@ def cmd_splitting(args) -> int:
 
 def cmd_takagi_witness(args) -> int:
     witness = classfield.takagi_witness(args.a, args.d, args.prime_bound)
-    num, den = args.a, 1
-    for p, e in witness:
-        if e > 0:
-            den *= p**e
-        else:
-            num *= p ** (-e)
+    num, den = classfield.witness_fraction(args.a, witness)
     record = _record(
         "takagi-witness",
         {"a": args.a, "d": args.d, "prime_bound": args.prime_bound},
@@ -213,6 +195,22 @@ def cmd_verify(args) -> int:
 def _usage(message: str) -> SystemExit:
     print(f"usage error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _int(token: str) -> int:
+    """An integer command-line token; anything else is a usage error."""
+    try:
+        return int(token)
+    except ValueError:
+        raise _usage(f"{token!r} is not an integer") from None
+
+
+def _unit_id(G: groups.FiniteGroup, m: int, token: str | int, what: str) -> int:
+    """Element id of the residue `token` in G = (Z/m)^x."""
+    try:
+        return G.id_of(_int(token) % m)
+    except InvalidArgumentError:
+        raise RayclassError(f"{what} {token} is not coprime to {m}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

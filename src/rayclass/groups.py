@@ -67,11 +67,12 @@ class FiniteGroup:
         return result
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
+        x = a
+        for k in range(1, self.order + 1):
+            if x == self.identity:
+                return k
             x = self.table[x][a]
-            k += 1
-        return k
+        raise InvalidArgumentError(f"element {a} has no power equal to the identity")
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -84,6 +85,17 @@ class FiniteGroup:
 
     def label_of(self, a: int) -> int:
         return self.labels[a] if self.labels is not None else a
+
+    @cached_property
+    def _id_of_label(self) -> dict[int, int]:
+        return {self.label_of(i): i for i in self.elements}
+
+    def id_of(self, label: int) -> int:
+        """The element carrying `label`; InvalidArgumentError if there is none."""
+        try:
+            return self._id_of_label[label]
+        except KeyError:
+            raise InvalidArgumentError(f"no element is labeled {label}") from None
 
     def check_associative(self) -> bool:
         """Exhaustive associativity check; quadratic-times-order, for tests only."""
@@ -270,11 +282,42 @@ def decomposition_from_reps(G: FiniteGroup, U: Subgroup, reps: tuple[int, ...]) 
     return dec
 
 
+def coset_order(U: Subgroup, x: int) -> int:
+    """Order of the coset x*U: the least k >= 1 with x^k in U (at most the index)."""
+    t = U.parent.table
+    members = U.member_set
+    y = x
+    for k in range(1, U.index + 1):
+        if y in members:
+            return k
+        y = t[y][x]
+    raise InvalidArgumentError(f"no power of {x} up to the index {U.index} lies in the subgroup")
+
+
 def _reduce_mod(G: FiniteGroup, x: int, derived: Subgroup) -> int:
     """Canonical (least-id) representative of the coset x * U'."""
     if derived.order == 1:
         return x
     return min(G.op(x, d) for d in derived.members)
+
+
+def _transfer_product(
+    G: FiniteGroup, decomposition: CosetDecomposition, g: int, contributions: list | None = None
+) -> int:
+    """prod u_j over the reps r_i, where g*r_i = r_j*u_j; records (i, j, u_j) if asked."""
+    t = G.table
+    inv = G.inverses
+    reps = decomposition.reps
+    coset_of = decomposition.coset_of
+    prod = G.identity
+    for i, r in enumerate(reps):
+        x = t[g][r]
+        j = coset_of[x]
+        u = t[inv[reps[j]]][x]
+        if contributions is not None:
+            contributions.append((i, j, u))
+        prod = t[prod][u]
+    return prod
 
 
 def transfer(
@@ -289,16 +332,8 @@ def transfer(
         decomposition = coset_decomposition(G, U)
     if derived is None:
         derived = derived_subgroup(U)
-    reps = decomposition.reps
-    coset_of = decomposition.coset_of
-    contributions = []
-    prod = G.identity
-    for i, r in enumerate(reps):
-        t = G.op(g, r)
-        j = coset_of[t]
-        u = G.op(G.inv(reps[j]), t)
-        contributions.append((i, j, u))
-        prod = G.op(prod, u)
+    contributions: list[tuple[int, int, int]] = []
+    prod = _transfer_product(G, decomposition, g, contributions)
     return TransferResult(value=_reduce_mod(G, prod, derived), contributions=tuple(contributions))
 
 
@@ -306,19 +341,8 @@ def transfer_homomorphism(G: FiniteGroup, U: Subgroup) -> TabulatedHom:
     """Tabulate the transfer G -> U (values reduced mod U') for every element."""
     dec = coset_decomposition(G, U)
     derived = derived_subgroup(U)
-    reps = dec.reps
-    coset_of = dec.coset_of
-    op = G.op
-    inv_reps = tuple(G.inv(r) for r in reps)
-    values = []
-    for g in G.elements:
-        prod = G.identity
-        for r in reps:
-            t = op(g, r)
-            u = op(inv_reps[coset_of[t]], t)
-            prod = op(prod, u)
-        values.append(_reduce_mod(G, prod, derived))
-    return TabulatedHom(domain=G, values=tuple(values), modulo=derived)
+    values = tuple(_reduce_mod(G, _transfer_product(G, dec, g), derived) for g in G.elements)
+    return TabulatedHom(domain=G, values=values, modulo=derived)
 
 
 def kernel_of(hom: TabulatedHom) -> Subgroup:

@@ -17,15 +17,15 @@ from .classfield import (
     FundamentalDiscriminant,
     IdealGroupH,
     Modulus,
+    RayClassGroup,
     ideal_class,
-    ray_class_group,
     squares_group,
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
 from .groups import (
-    FiniteGroup,
     Subgroup,
     coset_decomposition,
+    coset_order,
     decomposition_from_reps,
     derived_subgroup,
     group_from_unit_residues,
@@ -130,17 +130,8 @@ def splitting_in_subfield(q: int, m: int, U: Subgroup) -> SplittingType:
         raise InvalidArgumentError(f"{q} is not prime")
     if m % q == 0:
         raise RamifiedError(f"{q} divides {m}; ramified case unsupported here")
-    G = U.parent
-    labels = {G.label_of(i): i for i in G.elements}
-    sigma = labels[q % m]
-    # f = order of sigma*U in G/U: least k with sigma^k in U.
-    f = 1
-    x = sigma
-    while x not in U:
-        x = G.op(x, sigma)
-        f += 1
-    degree = G.order // U.order
-    return SplittingType(e=1, f=f, g=degree // f)
+    f = coset_order(U, U.parent.id_of(q % m))
+    return SplittingType(e=1, f=f, g=U.index // f)
 
 
 def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
@@ -180,10 +171,8 @@ def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
     """Kernel of the transfer (Z/p)^x -> {+-1} as an ideal group; class field Q(sqrt(p*))."""
     if p == 2 or not is_prime(p):
         raise InvalidArgumentError(f"{p} is not an odd prime")
-    rcg = ray_class_group(Modulus(p, infinite=True))
-    G = rcg.group
-    minus_one = rcg.class_of(p - 1).element
-    U = subgroup_generated(G, {minus_one})
+    G, U, _, _ = _transfer_setup(p)
+    rcg = RayClassGroup(modulus=Modulus(p, infinite=True), group=G)
     hom = transfer_homomorphism(G, U)
     kernel = kernel_of(hom)
     sq = squares_group(p)
@@ -220,14 +209,12 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
         raise InvalidArgumentError(f"half-system is for p={system.p}, not {p}")
     if gcd(a, p) != 1:
         raise NotCoprimeError(f"{a} is not coprime to {p}")
-    G = group_from_unit_residues(p)
-    labels = {G.label_of(i): i for i in G.elements}
-    U = subgroup_generated(G, {labels[p - 1]})
+    G, U, _, derived = _transfer_setup(p)
     # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a
     # transversal, which is the entire content of the bridge.
-    dec = decomposition_from_reps(G, U, tuple(labels[aj] for aj in system.elements))
-    result = transfer(G, U, labels[a % p], dec, derived=derived_subgroup(U))
-    to_sign = {labels[1]: 1, labels[p - 1]: -1}
+    dec = decomposition_from_reps(G, U, tuple(G.id_of(aj) for aj in system.elements))
+    result = transfer(G, U, G.id_of(a % p), dec, derived)
+    to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     transfer_signs = tuple(to_sign[u] for _, _, u in result.contributions)
     transfer_value = to_sign[result.value]
     symbol, trace = gauss_lemma(a, p, system)
@@ -272,19 +259,18 @@ def qr_via_splitting(p: int, q: int) -> ReciprocityCheck:
 
 @lru_cache(maxsize=64)
 def _transfer_setup(p: int):
-    """Memoized (G, label index, U, decomposition, U') for the mod-p transfer to {+-1}."""
+    """Memoized (G, U, decomposition, U') for the transfer (Z/p)^x -> U = {+-1}."""
     G = group_from_unit_residues(p)
-    labels = {G.label_of(i): i for i in G.elements}
-    U = subgroup_generated(G, {labels[p - 1]})
-    return G, labels, U, coset_decomposition(G, U), derived_subgroup(U)
+    U = subgroup_generated(G, {G.id_of(p - 1)})
+    return G, U, coset_decomposition(G, U), derived_subgroup(U)
 
 
 def transfer_sign(p: int, a: int) -> int:
     """Transfer of a's class under (Z/p)^x -> {+-1}, as +-1, with setup cached per p."""
     if gcd(a, p) != 1:
         raise NotCoprimeError(f"{a} is not coprime to {p}")
-    G, labels, U, dec, derived = _transfer_setup(p)
-    result = transfer(G, U, labels[a % p], dec, derived)
+    G, U, dec, derived = _transfer_setup(p)
+    result = transfer(G, U, G.id_of(a % p), dec, derived)
     return 1 if result.value == G.identity else -1
 
 

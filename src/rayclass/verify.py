@@ -108,9 +108,13 @@ def qr_transfer_suite(
         for msg in bad:
             result.check(False, msg)
         result.checks += len([q for q in qs if q != p]) - len(bad)
+    return spl_sweep(result, min(61, max_p), spl_bound)
 
-    # Three characterizations of Spl(Q(sqrt(p*))) coincide (p <= 61, q <= spl_bound).
-    for p in _odd_primes(min(61, max_p)):
+
+def spl_sweep(result: SuiteResult, max_p: int, spl_bound: int) -> SuiteResult:
+    """Check into `result`, for odd p <= max_p and q <= spl_bound, that q splits in
+    Q(sqrt(p*)) iff the transfer of q mod p is +1 iff q is a square mod p."""
+    for p in _odd_primes(max_p):
         H, fld = splitting.transfer_kernel_classfield(p)
         in_spl = set(splitting.spl_set(fld, spl_bound))
         for q in primes_up_to(spl_bound):
@@ -218,26 +222,6 @@ def _all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return [Subgroup(parent=G, members=m) for m in sorted(subs, key=lambda m: (len(m), m))]
 
 
-def _quotient_is_cyclic(G: FiniteGroup, U: Subgroup) -> bool:
-    f = G.order // U.order
-    for x in G.elements:
-        k, y = 1, x
-        while y not in U:
-            y = G.op(y, x)
-            k += 1
-        if k == f:
-            return True
-    return False
-
-
-def _coset_order(G: FiniteGroup, U: Subgroup, x: int) -> int:
-    k, y = 1, x
-    while y not in U:
-        y = G.op(y, x)
-        k += 1
-    return k
-
-
 def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
     """Lemma-level transfer properties over a generated abelian corpus.
 
@@ -260,8 +244,8 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
         bad = []
         for U in _all_subgroups(G):
             f = G.order // U.order
-            if not _quotient_is_cyclic(G, U):
-                continue
+            if not any(groups.coset_order(U, x) == f for x in G.elements):
+                continue  # the power law below needs a cyclic quotient
             hom = groups.transfer_homomorphism(G, U)
             # Cyclic-quotient power law.
             for x in G.elements:
@@ -387,12 +371,7 @@ def takagi_suite(
                 bad.append(f"a={a}, d={d.d}: {exc}")
                 continue
             # takagi_witness re-verifies internally; double-check the congruence here.
-            num, den = a, 1
-            for p, e in witness:
-                if e > 0:
-                    den *= p**e
-                else:
-                    num *= p ** (-e)
+            num, den = classfield.witness_fraction(a, witness)
             if num % abs(d.d) != den % abs(d.d):
                 bad.append(f"a={a}, d={d.d}: witness {witness} does not verify")
         return bad

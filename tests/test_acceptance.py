@@ -9,9 +9,6 @@ import time
 import pytest
 
 from rayclass import verify
-from rayclass.arith import primes_up_to
-from rayclass.splitting import spl_set, transfer_kernel_classfield, transfer_sign
-from rayclass.symbols import legendre_brute
 
 
 def _report(name: str, result: verify.SuiteResult, seconds: float) -> None:
@@ -80,27 +77,14 @@ def test_criterion_06_surjectivity_and_klein_four(transfer_props_result):
 
 
 def test_criterion_07_spl_three_characterizations():
-    t0 = time.time()
-    checks = 0
-    failures = []
-    for p in [p for p in primes_up_to(61) if p % 2]:
-        H, fld = transfer_kernel_classfield(p)
-        in_spl = set(spl_set(fld, 2000))
-        for q in primes_up_to(2000):
-            if q == p:
-                continue
-            checks += 1
-            agree = (
-                (q in in_spl)
-                == (transfer_sign(p, q) == 1)
-                == (legendre_brute(q, p) == 1)
-            )
-            if not agree:
-                failures.append(f"p={p}, q={q}")
-    status = "PASS" if not failures else "FAIL"
-    print(f"[{status}] criterion 7: Spl(Q(sqrt(p*))) three ways, p <= 61, q <= 2000 "
-          f"({checks} checks, {time.time() - t0:.1f}s)")
-    assert not failures, failures[:5]
+    result = _run(
+        "criterion 7: Spl(Q(sqrt(p*))) three ways, p <= 61, q <= 2000",
+        verify.spl_sweep,
+        result=verify.SuiteResult("spl-three-ways"),
+        max_p=61,
+        spl_bound=2000,
+    )
+    assert result.passed, result.failures[:5]
 
 
 def test_criterion_08_euler_formulation():

@@ -81,6 +81,10 @@ def test_transfer_klein_four(capsys):
 def test_transfer_not_coprime_exits_1(capsys):
     code, _, err = run(capsys, "transfer", "--mod", "8", "--subgroup", "3", "--element", "4")
     assert code == 1
+    assert "element 4 is not coprime to 8" in err
+    code, _, err = run(capsys, "splitting", "--field", "subfield", "8", "3,6", "--prime", "5")
+    assert code == 1
+    assert "generator 6 is not coprime to 8" in err
 
 
 def test_splitting_quadratic(capsys):
@@ -187,3 +191,19 @@ def test_usage_error_exits_2(capsys):
         main(["symbol", "--kind", "legendre"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["splitting", "--field", "quadratic", "abc", "--prime", "5"],
+        ["splitting", "--field", "cyclotomic", "7.5", "--prime", "5"],
+        ["splitting", "--field", "subfield", "13", "2,x", "--prime", "5"],
+        ["transfer", "--mod", "7", "--subgroup", "x", "--element", "3"],
+    ],
+)
+def test_non_integer_token_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage error" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from rayclass.groups import (
     FiniteGroup,
     Subgroup,
     coset_decomposition,
+    coset_order,
     cyclic_group,
     decomposition_from_reps,
     derived_subgroup,
@@ -32,22 +33,22 @@ def symmetric_group_3():
     return FiniteGroup(table=table, identity=index[(0, 1, 2)])
 
 
-def labels_of(G):
-    return {G.label_of(i): i for i in G.elements}
-
-
 def test_unit_residue_groups():
     G = group_from_unit_residues(3)
     assert G.order == 2 and G.labels == (1, 2)
     G = group_from_unit_residues(7)
     assert G.is_cyclic and G.order == 6
     powers = []
-    x = labels_of(G)[3]
+    x = G.id_of(3)
     y = x
     for _ in range(6):
         powers.append(G.label_of(y))
         y = G.op(y, x)
     assert powers == [3, 2, 6, 4, 5, 1]
+    assert [G.id_of(G.label_of(i)) for i in G.elements] == list(G.elements)
+    for label in (0, 7, -1):
+        with pytest.raises(InvalidArgumentError):
+            G.id_of(label)
     G = group_from_unit_residues(8)
     assert G.labels == (1, 3, 5, 7)
     assert all(G.op(a, a) == G.identity for a in G.elements)
@@ -87,7 +88,7 @@ def test_subgroup_generated():
     G = group_from_unit_residues(7)
     assert subgroup_generated(G, set()).order == 1
     assert subgroup_generated(G, {G.identity}).order == 1
-    U = subgroup_generated(G, {labels_of(G)[6]})
+    U = subgroup_generated(G, {G.id_of(6)})
     assert sorted(G.label_of(i) for i in U.members) == [1, 6]
     U.validate()
 
@@ -104,34 +105,32 @@ def test_derived_subgroup():
 
 def test_coset_decomposition():
     G = group_from_unit_residues(7)
-    labels = labels_of(G)
     full = Subgroup(parent=G, members=tuple(G.elements))
     assert coset_decomposition(G, full).reps == (G.identity,)
     trivial = subgroup_generated(G, set())
     assert coset_decomposition(G, trivial).reps == tuple(G.elements)
-    U = subgroup_generated(G, {labels[6]})
+    U = subgroup_generated(G, {G.id_of(6)})
     dec = coset_decomposition(G, U)
     assert [G.label_of(r) for r in dec.reps] == [1, 2, 3]
 
 
 def test_decomposition_from_reps_validates():
     G = group_from_unit_residues(7)
-    U = subgroup_generated(G, {labels_of(G)[6]})
+    U = subgroup_generated(G, {G.id_of(6)})
     with pytest.raises(InvalidArgumentError):
         decomposition_from_reps(G, U, (0, 0, 1))
 
 
 def test_transfer_examples():
     G = group_from_unit_residues(7)
-    labels = labels_of(G)
-    U = subgroup_generated(G, {labels[6]})
+    U = subgroup_generated(G, {G.id_of(6)})
     dec = coset_decomposition(G, U)
     assert transfer(G, U, G.identity, dec).value == G.identity
-    result = transfer(G, U, labels[3], dec)
+    result = transfer(G, U, G.id_of(3), dec)
     assert G.label_of(result.value) == 6
     # each contribution solves g*r_i = r_j*u in the table
     for i, j, u in result.contributions:
-        assert G.op(labels[3], dec.reps[i]) == G.op(dec.reps[j], u)
+        assert G.op(G.id_of(3), dec.reps[i]) == G.op(dec.reps[j], u)
         assert u in U
 
 
@@ -147,7 +146,7 @@ def test_transfer_klein_four_trivial():
 
 def test_transfer_kernel_is_squares():
     G = group_from_unit_residues(7)
-    U = subgroup_generated(G, {labels_of(G)[6]})
+    U = subgroup_generated(G, {G.id_of(6)})
     hom = transfer_homomorphism(G, U)
     ker = kernel_of(hom)
     assert sorted(G.label_of(i) for i in ker.members) == [1, 2, 4]
@@ -163,10 +162,8 @@ def test_transfer_power_law_abelian():
             # quotient of an abelian group by a subgroup need not be cyclic; check
             orders = set()
             for x in G.elements:
-                k, y = 1, x
-                while y not in U:
-                    y = G.op(y, x)
-                    k += 1
+                k = coset_order(U, x)
+                assert k == min(j for j in range(1, G.order + 1) if G.power(x, j) in U)
                 orders.add(k)
             if max(orders) != f:
                 continue
@@ -189,7 +186,7 @@ def test_transfer_surjective_on_cyclic():
 def test_transfer_rep_independence():
     rng = random.Random(5)
     G = group_from_unit_residues(13)
-    U = subgroup_generated(G, {labels_of(G)[12]})
+    U = subgroup_generated(G, {G.id_of(12)})
     canonical = coset_decomposition(G, U)
     expected = transfer_homomorphism(G, U).values
     for _ in range(50):
@@ -207,6 +204,18 @@ def test_transfer_nonabelian_reduces_mod_derived():
     derived = derived_subgroup(full)
     for g in S3.elements:
         assert hom.values[g] == min(S3.op(g, d) for d in derived.members)
+
+
+def test_power_loops_stop_on_malformed_table():
+    # 1*1 = 1, so no power of 1 reaches the identity 0 or the subgroup {0}.
+    G = FiniteGroup(table=((0, 1), (1, 1)), identity=0)
+    assert G.element_order(0) == 1
+    with pytest.raises(InvalidArgumentError):
+        G.element_order(1)
+    U = Subgroup(parent=G, members=(0,))
+    assert coset_order(U, 0) == 1
+    with pytest.raises(InvalidArgumentError):
+        coset_order(U, 1)
 
 
 def test_kernel_of_rejects_non_homomorphism():

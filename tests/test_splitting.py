@@ -35,11 +35,6 @@ from rayclass.symbols import (
 )
 
 
-def unit_group_with_labels(m):
-    G = group_from_unit_residues(m)
-    return G, {G.label_of(i): i for i in G.elements}
-
-
 def test_splitting_quadratic():
     assert splitting_quadratic(19, 5).word == "split"
     assert splitting_quadratic(3, -4).word == "inert"
@@ -65,11 +60,11 @@ def test_splitting_cyclotomic_degree_sweep():
 
 
 def test_splitting_in_subfield():
-    G, labels = unit_group_with_labels(7)
-    full = subgroup_generated(G, set(labels.values()))
+    G = group_from_unit_residues(7)
+    full = subgroup_generated(G, set(G.elements))
     st = splitting_in_subfield(5, 7, full)
     assert (st.e, st.f, st.g) == (1, 1, 1)  # fixed field is Q
-    squares = subgroup_generated(G, {labels[2]})
+    squares = subgroup_generated(G, {G.id_of(2)})
     st = splitting_in_subfield(2, 7, squares)
     assert st.f == 1 and st.g == 2  # 2 splits in Q(sqrt(-7))
     assert kronecker(-7, 2) == 1
@@ -79,9 +74,9 @@ def test_splitting_in_subfield():
 
 def test_subfield_compatibility_with_cyclotomic():
     for m in (5, 7, 12, 15):
-        G, labels = unit_group_with_labels(m)
+        G = group_from_unit_residues(m)
         trivial = subgroup_generated(G, set())
-        full = subgroup_generated(G, set(labels.values()))
+        full = subgroup_generated(G, set(G.elements))
         for q in primes_up_to(40):
             if m % q == 0:
                 continue
@@ -92,8 +87,8 @@ def test_subfield_compatibility_with_cyclotomic():
 def test_maximal_real_subfield():
     # U = {+-1} fixes the maximal real subfield: q has f = 1 iff q = +-1 mod p
     p = 11
-    G, labels = unit_group_with_labels(p)
-    U = subgroup_generated(G, {labels[p - 1]})
+    G = group_from_unit_residues(p)
+    U = subgroup_generated(G, {G.id_of(p - 1)})
     for q in primes_up_to(100):
         if q == p:
             continue
@@ -103,8 +98,8 @@ def test_maximal_real_subfield():
 
 def test_quadratic_subfield_compatibility():
     for p in (5, 7, 11, 13):
-        G, labels = unit_group_with_labels(p)
-        squares = subgroup_generated(G, {labels[x * x % p] for x in range(1, p)})
+        G = group_from_unit_residues(p)
+        squares = subgroup_generated(G, {G.id_of(x * x % p) for x in range(1, p)})
         d = pstar(p)
         for q in primes_up_to(200):
             if q == 2 or q == p:
@@ -125,8 +120,8 @@ def test_splits_completely_in_class_field():
 def test_spl_sets():
     assert spl_set(Quadratic(FundamentalDiscriminant(5)), 50) == [11, 19, 29, 31, 41]
     assert spl_set(Cyclotomic(5), 50) == [11, 31, 41]
-    G, labels = unit_group_with_labels(7)
-    squares = subgroup_generated(G, {labels[2]})
+    G = group_from_unit_residues(7)
+    squares = subgroup_generated(G, {G.id_of(2)})
     fld = CyclotomicSubfield(7, squares)
     assert spl_set(fld, 60) == [q for q in primes_up_to(60) if q != 7 and kronecker(-7, q) == 1]
 
