@@ -1,7 +1,8 @@
 """Exact integer arithmetic substrate: primality, factorization, totients, orders.
 
-Everything here is deterministic and exact for 64-bit inputs; Python's
-arbitrary-precision integers make the 128-bit intermediate requirement moot.
+Everything here is deterministic and exact.  Primality is decided by
+Miller-Rabin on the first 13 prime bases, which is exact below psi_13 ~ 3.3e24;
+larger inputs raise TooLargeError rather than get a probable answer.
 """
 
 from __future__ import annotations
@@ -9,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import InvalidArgumentError, NotCoprimeError
+from .errors import InvalidArgumentError, NotCoprimeError, TooLargeError
 
-# Deterministic Miller-Rabin witness set, sufficient for all n < 2^64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases decide primality exactly for all n < psi_13
+# (Sorenson & Webster 2015, arXiv:1509.00864); psi_13 itself is composite.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 _TRIAL_BOUND = 10**6
 
@@ -27,9 +30,14 @@ def mod_pow(base: int, exp: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test (deterministic Miller-Rabin) for 64-bit n."""
+    """Exact primality test (deterministic Miller-Rabin) for n < PSI_13.
+
+    Raises TooLargeError for n >= PSI_13, where the witness set is not proven.
+    """
     if n < 2:
         return False
+    if n >= PSI_13:
+        raise TooLargeError(f"{n} is at least psi_13 = {PSI_13}, beyond exact primality")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -45,6 +45,11 @@ class Modulus:
     def __str__(self) -> str:
         return f"({self.m0}){'oo' if self.infinite else ''}"
 
+    def label(self, residue: int) -> int:
+        """Label of the residue's class: r = residue mod m0, or min(r, m0 - r) without oo."""
+        r = residue % self.m0
+        return r if self.infinite else min(r, self.m0 - r)
+
 
 def is_fundamental_discriminant(d: int) -> bool:
     """True for discriminants of quadratic fields: 1 mod 4 squarefree, or 4m, m = 2,3 mod 4 squarefree."""
@@ -104,12 +109,9 @@ class RayClassGroup:
         m0 = self.modulus.m0
         if m0 == 1:
             return 1
-        r = residue % m0
-        if gcd(r, m0) != 1:
+        if gcd(residue, m0) != 1:
             raise NotCoprimeError(f"{residue} is not coprime to {m0}")
-        if not self.modulus.infinite:
-            r = min(r, m0 - r)
-        return r
+        return self.modulus.label(residue)
 
     def class_of(self, residue: int) -> "RayClass":
         return RayClass(parent=self, element=self.group.id_of(self.canonical_label(residue)))
@@ -169,11 +171,8 @@ def ray_class_group(m: Modulus) -> RayClassGroup:
     # Quotient of (Z/m0)^x by {+-1}: label each class {r, m0-r} by its least member.
     reps = [r for r in range(1, m0 // 2 + 1) if gcd(r, m0) == 1]
     index = {r: i for i, r in enumerate(reps)}
-
-    def reduce(t: int) -> int:
-        return index[min(t, m0 - t)]
-
-    table = tuple(tuple(reduce(a * b % m0) for b in reps) for a in reps)
+    label = m.label
+    table = tuple(tuple(index[label(a * b)] for b in reps) for a in reps)
     group = FiniteGroup(table=table, identity=index[1], labels=tuple(reps))
     return RayClassGroup(modulus=m, group=group)
 
@@ -322,11 +321,8 @@ def _character_factors_through(d: int, m: Modulus) -> bool:
     for r in range(1, dd + 1):
         if gcd(r, dd) != 1:
             continue
-        t = r % m.m0
-        if not m.infinite:
-            t = min(t, (m.m0 - t) % m.m0)
         chi = kronecker(d, r)
-        if fibers.setdefault(t, chi) != chi:
+        if fibers.setdefault(m.label(r), chi) != chi:
             return False
     return True
 

@@ -255,7 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=list(verify.SUITES) + ["all"])
-    p.add_argument("--max-prime", type=int)
+    p.add_argument(
+        "--max-prime",
+        type=int,
+        help="bound the sweeps: qr-splitting p, q <= MAX_PRIME; qr-transfer p <= min(101, MAX_PRIME), "
+        "q <= MAX_PRIME; gauss-lemma p <= min(211, MAX_PRIME); euler-formulation, takagi, conductor "
+        "|d| <= min(101, MAX_PRIME); indices q <= MAX_PRIME; transfer-props ignores it",
+    )
     p.add_argument("--threads", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")

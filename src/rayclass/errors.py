@@ -14,7 +14,8 @@ class NotCoprimeError(RayclassError, ValueError):
 
 
 class TooLargeError(RayclassError, ValueError):
-    """A group table would exceed the desk-scale materialization bound."""
+    """An input exceeds a bound: a group table over the desk-scale materialization
+    bound, or an integer beyond the range where primality is decided exactly."""
 
 
 class InvalidHalfSystemError(RayclassError, ValueError):

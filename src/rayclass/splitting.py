@@ -34,7 +34,7 @@ from .groups import (
     transfer,
     transfer_homomorphism,
 )
-from .symbols import HalfSystem, gauss_lemma, GaussLemmaTrace, kronecker, pstar
+from .symbols import HalfSystem, gauss_lemma, kronecker, pstar
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,6 @@ class BridgeReport:
     symbol_value: int                         # +-1
     transfer_signs: tuple[int, ...]           # u_j mapped to +-1, in rep order
     gauss_signs: tuple[int, ...]              # s_j in half-system order
-    gauss_trace: GaussLemmaTrace
     signs_match: bool
     values_match: bool
 
@@ -226,7 +225,6 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
         symbol_value=symbol,
         transfer_signs=transfer_signs,
         gauss_signs=gauss_signs,
-        gauss_trace=trace,
         signs_match=sorted(transfer_signs) == sorted(gauss_signs),
         values_match=transfer_value == symbol,
     )

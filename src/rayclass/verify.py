@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import classfield, groups, splitting, symbols
 from .arith import euler_phi, primes_up_to
@@ -48,12 +49,22 @@ class SuiteResult:
         return line
 
 
-def _map(fn, items, threads: int):
-    """Order-preserving map, optionally on a thread pool; results are deterministic."""
+def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
+    """Fold each item's `run(item) -> (checks, failures)` into `result`, in item order.
+
+    `run` is mapped over the items on a thread pool when threads > 1; the
+    outcome does not depend on the thread count.
+    """
     if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        outcomes = map(run, items)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(run, items))
+    for checks, failures in outcomes:
+        for msg in failures:
+            result.check(False, msg)
+        result.checks += checks - len(failures)
+    return result
 
 
 def _odd_primes(bound: int) -> list[int]:
@@ -65,7 +76,7 @@ def qr_splitting_suite(max_prime: int = 541, threads: int = 1) -> SuiteResult:
     result = SuiteResult("qr-splitting", params={"max_prime": max_prime})
     ps = _odd_primes(max_prime)
 
-    def run(p: int) -> list[str]:
+    def run(p: int) -> tuple[int, list[str]]:
         bad = []
         sq = classfield.squares_group(p)
         for q in ps:
@@ -75,13 +86,9 @@ def qr_splitting_suite(max_prime: int = 541, threads: int = 1) -> SuiteResult:
             rhs = 1 if splitting.splits_completely_in_class_field(q, sq) else -1
             if lhs != rhs:
                 bad.append(f"(p={p}, q={q}): (p*/q)={lhs} but splitting gives {rhs}")
-        return bad
+        return len(ps) - 1, bad
 
-    for bad in _map(run, ps, threads):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += len(ps) - 1 - len(bad)
-    return result
+    return _sweep(result, run, ps, threads)
 
 
 def qr_transfer_suite(
@@ -94,7 +101,7 @@ def qr_transfer_suite(
     ps = _odd_primes(max_p)
     qs = _odd_primes(max_q)
 
-    def run(p: int) -> list[str]:
+    def run(p: int) -> tuple[int, list[str]]:
         bad = []
         for q in qs:
             if q == p:
@@ -102,12 +109,9 @@ def qr_transfer_suite(
             chk = splitting.qr_via_transfer(p, q)
             if not chk.equal:
                 bad.append(f"(p={p}, q={q}): (p*/q)={chk.lhs} but transfer gives {chk.rhs}")
-        return bad
+        return len(qs) - (p in qs), bad
 
-    for p, bad in zip(ps, _map(run, ps, threads)):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += len([q for q in qs if q != p]) - len(bad)
+    _sweep(result, run, ps, threads)
     return spl_sweep(result, min(61, max_p), spl_bound)
 
 
@@ -140,7 +144,7 @@ def gauss_lemma_suite(
     )
     ps = _odd_primes(max_prime)
 
-    def run(p: int) -> list[str]:
+    def run(p: int) -> tuple[int, list[str]]:
         bad = []
         rng = random.Random(seed + p)
         default = symbols.default_half_system(p)
@@ -156,12 +160,9 @@ def gauss_lemma_suite(
                 value, _ = symbols.gauss_lemma(a, p, system)
                 if value != gauss:
                     bad.append(f"(a={a}, p={p}): half-system {system.elements} gives {value}")
-        return bad
+        return (p - 1) * (1 + n_systems), bad
 
-    for p, bad in zip(ps, _map(run, ps, threads)):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += (p - 1) * (1 + n_systems) - len(bad)
+    _sweep(result, run, ps, threads)
 
     # Transfer/Gauss-Lemma bridge at a lighter bound.
     rng = random.Random(seed)
@@ -197,25 +198,21 @@ def _random_abelian_products(count: int, rng: random.Random) -> list[FiniteGroup
 
 
 def _all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Full subgroup lattice by closing the cyclic subgroups under joins.
+    """Full subgroup lattice of an abelian G by closing the cyclic subgroups under joins.
 
-    For abelian G (the whole corpus) the join of two subgroups is their
-    product set, so no closure iteration is needed.
+    In an abelian group the join of two subgroups is their product set, so no
+    closure iteration is needed.
     """
     cyclic = {groups.subgroup_generated(G, {g}).members for g in G.elements}
     subs = set(cyclic)
     frontier = list(subs)
-    abelian = G.is_abelian
     t = G.table
     while frontier:
         base = frontier.pop()
         for c in cyclic:
             if set(c) <= set(base):
                 continue
-            if abelian:
-                joined = tuple(sorted({t[a][b] for a in base for b in c}))
-            else:
-                joined = groups.subgroup_generated(G, set(base) | set(c)).members
+            joined = tuple(sorted({t[a][b] for a in base for b in c}))
             if joined not in subs:
                 subs.add(joined)
                 frontier.append(joined)
@@ -238,7 +235,7 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
     corpus += _random_abelian_products(50, rng)
     corpus = [G for G in corpus if G.order <= 256]
 
-    def run(indexed: tuple[int, FiniteGroup]) -> list[str]:
+    def run(indexed: tuple[int, FiniteGroup]) -> tuple[int, list[str]]:
         i, G = indexed
         rng = random.Random(seed + 7919 * i)  # per-group stream, stable under threading
         bad = []
@@ -284,12 +281,9 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
                 )
                 if not ok:
                     bad.append(f"|G|={G.order}, U={U.members}: V not a homomorphism")
-        return bad
+        return max(1, len(bad)), bad
 
-    for G, bad in zip(corpus, _map(run, list(enumerate(corpus)), threads)):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += 1 if not bad else 0
+    _sweep(result, run, enumerate(corpus), threads)
 
     # Surjectivity on all subgroups of all cyclic groups up to 256.
     for n in range(1, 257):
@@ -321,17 +315,14 @@ def euler_formulation_suite(max_disc: int = 101, prime_bound: int = 5000, thread
     result = SuiteResult(
         "euler-formulation", params={"max_disc": max_disc, "prime_bound": prime_bound}
     )
-    discs = fundamental_discriminants(max_disc)
 
-    def run(d: FundamentalDiscriminant) -> str | None:
+    def run(d: FundamentalDiscriminant) -> tuple[int, list[str]]:
         report = classfield.artin_class_constancy_check(d, prime_bound)
         if not report.constant_on_classes:
-            return f"d={d.d}: symbol not constant, counterexample {report.counterexample}"
-        return None
+            return 1, [f"d={d.d}: symbol not constant, counterexample {report.counterexample}"]
+        return 1, []
 
-    for msg in _map(run, discs, threads):
-        result.check(msg is None, msg or "")
-    return result
+    return _sweep(result, run, fundamental_discriminants(max_disc), threads)
 
 
 def takagi_suite(
@@ -355,10 +346,8 @@ def takagi_suite(
         chk = classfield.first_inequality_check(H, 2)
         result.check(chk.holds and chk.divides, f"d={d.d}: first inequality fails")
 
-    def run(d: FundamentalDiscriminant) -> list[str]:
+    def run(d: FundamentalDiscriminant) -> tuple[int, list[str]]:
         bad = []
-        from math import gcd
-
         for a in range(1, witness_max_a + 1):
             if gcd(a, d.d) != 1 or symbols.kronecker(d.d, a) != 1:
                 continue
@@ -374,14 +363,9 @@ def takagi_suite(
             num, den = classfield.witness_fraction(a, witness)
             if num % abs(d.d) != den % abs(d.d):
                 bad.append(f"a={a}, d={d.d}: witness {witness} does not verify")
-        return bad
+        return max(1, len(bad)), bad
 
-    wdiscs = fundamental_discriminants(witness_max_disc)
-    for d, bad in zip(wdiscs, _map(run, wdiscs, threads)):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += 1 if not bad else 0
-    return result
+    return _sweep(result, run, fundamental_discriminants(witness_max_disc), threads)
 
 
 def indices_suite(max_m: int = 100, prime_bound: int = 500, threads: int = 1) -> SuiteResult:
@@ -389,20 +373,16 @@ def indices_suite(max_m: int = 100, prime_bound: int = 500, threads: int = 1) ->
     result = SuiteResult("indices", params={"max_m": max_m, "prime_bound": prime_bound})
     ps = primes_up_to(prime_bound)
 
-    def run(m: int) -> list[str]:
+    def run(m: int) -> tuple[int, list[str]]:
         bad = []
         phi = euler_phi(m)
         for q in ps:
             st = splitting.splitting_cyclotomic(q, m)
             if st.degree != phi:
                 bad.append(f"(q={q}, m={m}): e*f*g = {st.degree} != phi(m) = {phi}")
-        return bad
+        return len(ps), bad
 
-    ms = list(range(3, max_m + 1))
-    for m, bad in zip(ms, _map(run, ms, threads)):
-        for msg in bad:
-            result.check(False, msg)
-        result.checks += len(ps) - len(bad)
+    _sweep(result, run, range(3, max_m + 1), threads)
 
     for m in range(3, min(max_m, 60) + 1):
         H = classfield.takagi_group_cyclotomic(m)
@@ -417,18 +397,14 @@ def indices_suite(max_m: int = 100, prime_bound: int = 500, threads: int = 1) ->
 def conductor_suite(max_disc: int = 100, threads: int = 1) -> SuiteResult:
     """conductor(d) = (|d|, oo iff d < 0) by exhaustive divisor-modulus search."""
     result = SuiteResult("conductor", params={"max_disc": max_disc})
-    discs = fundamental_discriminants(max_disc)
 
-    def run(d: FundamentalDiscriminant) -> str | None:
+    def run(d: FundamentalDiscriminant) -> tuple[int, list[str]]:
         m = classfield.conductor_quadratic(d)
-        expected = d.modulus
-        if m != expected:
-            return f"d={d.d}: conductor {m} != expected {expected}"
-        return None
+        if m != d.modulus:
+            return 1, [f"d={d.d}: conductor {m} != expected {d.modulus}"]
+        return 1, []
 
-    for msg in _map(run, discs, threads):
-        result.check(msg is None, msg or "")
-    return result
+    return _sweep(result, run, fundamental_discriminants(max_disc), threads)
 
 
 SUITES = {

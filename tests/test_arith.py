@@ -1,6 +1,7 @@
 import pytest
 
 from rayclass.arith import (
+    PSI_13,
     euler_phi,
     factorize,
     is_prime,
@@ -8,7 +9,10 @@ from rayclass.arith import (
     mult_order,
     primes_up_to,
 )
-from rayclass.errors import InvalidArgumentError, NotCoprimeError
+from rayclass.errors import InvalidArgumentError, NotCoprimeError, TooLargeError
+
+# psi_12, the least strong pseudoprime to the first 12 prime bases.
+PSI_12 = 318665857834031151167461
 
 
 def sieve_oracle(n):
@@ -54,6 +58,18 @@ def test_is_prime_against_sieve():
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 - 11))
+
+
+def test_is_prime_rejects_psi_12():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert is_prime(PSI_13 - 168)  # the largest prime below psi_13
+
+
+def test_is_prime_raises_from_psi_13():
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(TooLargeError):
+            is_prime(n)
 
 
 def test_factorize_examples():

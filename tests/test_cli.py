@@ -29,6 +29,14 @@ def test_symbol_bad_modulus_exits_1(capsys):
     assert "odd prime" in err
 
 
+@pytest.mark.parametrize("n", ["318665857834031151167461", "3317044064679887385961981"])
+def test_symbol_pseudoprime_modulus_exits_1(capsys, n):
+    code, out, err = run(capsys, "symbol", "--kind", "legendre", "--a", "3", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_symbol_gauss_lemma_trace(capsys):
     code, out, _ = run(
         capsys, "symbol", "--kind", "legendre", "--a", "3", "--n", "7",
