@@ -32,6 +32,7 @@ from .splitting import (
 from .symbols import (
     default_half_system,
     gauss_lemma,
+    gauss_lemma_sign,
     jacobi,
     kronecker,
     legendre_brute,
@@ -49,6 +50,6 @@ __all__ = [
     "transfer_homomorphism",
     "qr_via_splitting", "qr_via_transfer", "spl_set",
     "splitting_cyclotomic", "splitting_quadratic",
-    "default_half_system", "gauss_lemma", "jacobi", "kronecker",
+    "default_half_system", "gauss_lemma", "gauss_lemma_sign", "jacobi", "kronecker",
     "legendre_brute", "legendre_euler", "pstar",
 ]

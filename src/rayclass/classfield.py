@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_prime, mult_order, primes_up_to
+from .arith import euler_phi, factorize, is_prime, primes_up_to
 from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
     NotCoprimeError,
     NotInTakagiGroupError,
     RamifiedError,
+    TooLargeError,
     WitnessNotFoundError,
 )
 from .groups import (
@@ -27,7 +28,6 @@ from .groups import (
     TABLE_BOUND,
     group_from_unit_residues,
 )
-from .errors import TooLargeError
 from .symbols import kronecker
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .arith import is_prime
@@ -39,11 +40,15 @@ class HalfSystem:
             raise InvalidHalfSystemError(
                 f"expected {m} elements for p={self.p}, got {len(self.elements)}"
             )
-        seen = set(self.elements)
+        seen = self.members
         if len(seen) != m or seen | {self.p - a for a in seen} != set(range(1, self.p)):
             raise InvalidHalfSystemError(
                 f"{self.elements} does not represent each pair {{a, -a}} mod {self.p} exactly once"
             )
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.elements)
 
     def index_of(self, residue: int) -> int:
         return self.elements.index(residue)
@@ -89,12 +94,34 @@ def legendre_euler(a: int, p: int) -> int:
     raise InternalInconsistencyError(f"a^((p-1)/2) = {r} mod {p}; {p} is not prime")
 
 
-def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, GaussLemmaTrace]:
-    """Legendre symbol as the product of half-system signs, with full trace."""
+def _check_gauss_args(a: int, p: int, system: HalfSystem) -> None:
     if system.p != p:
         raise InvalidArgumentError(f"half-system is for p={system.p}, not {p}")
     if gcd(a, p) != 1:
         raise NotCoprimeError(f"{a} is not coprime to {p}")
+
+
+def gauss_lemma_sign(a: int, p: int, system: HalfSystem) -> int:
+    """Legendre symbol as the product of half-system signs, without a trace.
+
+    The sign is -1 exactly when an odd number of the products a*a_j mod p fall
+    outside the half-system.  Same value and argument checks as `gauss_lemma`.
+    """
+    _check_gauss_args(a, p, system)
+    members = system.members
+    sign = 1
+    for aj in system.elements:
+        if a * aj % p not in members:
+            sign = -sign
+    return sign
+
+
+def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, GaussLemmaTrace]:
+    """Legendre symbol as the product of half-system signs, with full trace.
+
+    Callers that need only the value use `gauss_lemma_sign`, which builds no rows.
+    """
+    _check_gauss_args(a, p, system)
     positions = {res: j for j, res in enumerate(system.elements)}
     rows = []
     sign_product = 1

@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+from rayclass import symbols
+from rayclass.arith import primes_up_to
 from rayclass.errors import (
     InvalidArgumentError,
     InvalidHalfSystemError,
@@ -12,6 +14,7 @@ from rayclass.symbols import (
     HalfSystem,
     default_half_system,
     gauss_lemma,
+    gauss_lemma_sign,
     jacobi,
     kronecker,
     legendre_brute,
@@ -75,6 +78,44 @@ def test_gauss_lemma_trace_invariants():
 def test_gauss_lemma_not_coprime():
     with pytest.raises(NotCoprimeError):
         gauss_lemma(7, 7, default_half_system(7))
+
+
+def test_gauss_lemma_sign_matches_trace_and_brute():
+    rng = random.Random(11)
+    for p in primes_up_to(61)[1:]:
+        systems = [default_half_system(p)] + [random_half_system(p, rng) for _ in range(5)]
+        for system in systems:
+            for a in range(1 - p, 2 * p):
+                if a % p == 0:
+                    continue
+                expected = legendre_brute(a, p)
+                assert gauss_lemma_sign(a, p, system) == gauss_lemma(a, p, system)[0] == expected
+
+
+@pytest.mark.parametrize("route", [gauss_lemma, gauss_lemma_sign])
+def test_gauss_lemma_routes_reject_bad_arguments(route):
+    with pytest.raises(InvalidArgumentError):
+        route(2, 11, default_half_system(7))
+    with pytest.raises(NotCoprimeError):
+        route(14, 7, default_half_system(7))
+    with pytest.raises(NotCoprimeError):
+        route(0, 7, default_half_system(7))
+
+
+def test_gauss_lemma_sign_calls_no_other_route(monkeypatch):
+    ps = (3, 7, 13, 31)
+    expected = {(a, p): legendre_brute(a, p) for p in ps for a in range(1, p)}
+    rng = random.Random(5)
+    systems = {p: (default_half_system(p), random_half_system(p, rng)) for p in ps}
+
+    def forbidden(*args):
+        raise AssertionError("the sign-only Gauss Lemma must not call another route")
+
+    for name in ("legendre_euler", "kronecker", "jacobi"):
+        monkeypatch.setattr(symbols, name, forbidden)
+    for (a, p), value in expected.items():
+        for system in systems[p]:
+            assert gauss_lemma_sign(a, p, system) == value
 
 
 def test_half_system_validation():

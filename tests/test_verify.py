@@ -1,5 +1,8 @@
 """The verify suites' failure path: counts, failure order and thread invariance."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from rayclass import classfield, splitting, symbols, verify
@@ -41,3 +44,74 @@ def test_conductor_suite_lists_the_wrong_discriminants(monkeypatch, wrong):
             f"d={d}: conductor (1) != expected {classfield.FundamentalDiscriminant(d).modulus}"
             for d in wrong
         ]
+
+
+# gauss_lemma_suite's default seed: its half-systems, and so its failure messages, follow from it.
+SEED = 20260824
+
+
+def gauss_lemma_suite():
+    return verify.gauss_lemma_suite(max_prime=23, n_systems=2, seed=SEED)
+
+
+def test_gauss_lemma_suite_catches_a_wrong_euler_value(monkeypatch):
+    passing = gauss_lemma_suite()
+    assert passing.passed
+    euler = symbols.legendre_euler
+    monkeypatch.setattr(
+        symbols, "legendre_euler", lambda a, p: -euler(a, p) if (a, p) == (2, 7) else euler(a, p)
+    )
+    failing = gauss_lemma_suite()
+    assert failing.checks == passing.checks
+    assert failing.failures == ["(a=2, p=7): brute=1, euler=-1, gauss=1"]
+
+
+def test_gauss_lemma_suite_catches_a_half_system_dependence(monkeypatch):
+    passing = gauss_lemma_suite()
+    assert passing.passed
+    sign = symbols.gauss_lemma_sign
+    default = symbols.default_half_system(11)
+
+    def flipped(a, p, system):
+        value = sign(a, p, system)
+        return -value if p == 11 and system != default else value
+
+    monkeypatch.setattr(symbols, "gauss_lemma_sign", flipped)
+    failing = gauss_lemma_suite()
+    assert failing.checks == passing.checks
+    rng = random.Random(SEED + 11)
+    systems = [symbols.random_half_system(11, rng) for _ in range(2)]
+    assert all(system != default for system in systems)
+    assert failing.failures == [
+        f"(a={a}, p=11): half-system {system.elements} gives {-symbols.legendre_brute(a, 11)}"
+        for a in range(1, 11)
+        for system in systems
+    ][:10]
+
+
+def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
+    passing = gauss_lemma_suite()
+    assert passing.passed
+    traced = splitting.gauss_lemma
+
+    def flipped(a, p, system):
+        value, trace = traced(a, p, system)
+        if p != 7:
+            return value, trace
+        rows = tuple(replace(row, sign=-row.sign) for row in trace.rows)
+        return value, replace(trace, rows=rows)
+
+    monkeypatch.setattr(splitting, "gauss_lemma", flipped)
+    failing = gauss_lemma_suite()
+    assert failing.checks == passing.checks
+    # The bridge walks p = 3, 5, 7 with one seeded stream, default system first.
+    rng = random.Random(SEED)
+    for p in (3, 5, 7):
+        systems = [symbols.default_half_system(p)] + [
+            symbols.random_half_system(p, rng) for _ in range(3)
+        ]
+    assert failing.failures == [
+        f"bridge mismatch at p=7, a={a}, A={system.elements}"
+        for a in range(1, 7)
+        for system in systems
+    ][:10]
