@@ -8,6 +8,7 @@ quotient by the class of -1, and classes are labeled by min(r, m0 - r).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -155,17 +156,13 @@ class IdealGroupH:
         return cls.element in self.subgroup
 
 
-def _trivial_labeled_group() -> FiniteGroup:
-    return FiniteGroup(table=((0,),), identity=0, labels=(1,))
-
-
 def ray_class_group(m: Modulus) -> RayClassGroup:
     """Materialize D_m / P_m^(1) with residue labels."""
     m0 = m.m0
     if euler_phi(m0) > TABLE_BOUND:
         raise TooLargeError(f"phi({m0}) exceeds the table bound {TABLE_BOUND}")
     if m0 <= 2:
-        return RayClassGroup(modulus=m, group=_trivial_labeled_group())
+        return RayClassGroup(modulus=m, group=group_from_unit_residues(2))
     if m.infinite:
         return RayClassGroup(modulus=m, group=group_from_unit_residues(m0))
     # Quotient of (Z/m0)^x by {+-1}: label each class {r, m0-r} by its least member.
@@ -391,8 +388,6 @@ def _witness_bfs(
     target: int, dd: int, split_primes: list[int]
 ) -> tuple[tuple[int, int], ...] | None:
     """BFS over residues mod dd, multiplying by split primes or their inverses."""
-    from collections import deque
-
     gens = split_primes[:64]
     start = 1 % dd
     paths: dict[int, tuple[tuple[int, int], ...]] = {start: ()}

@@ -41,15 +41,12 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [-1] * self.order
-        for a in self.elements:
-            for b in self.elements:
-                if self.table[a][b] == self.identity:
-                    inv[a] = b
-                    break
-            if inv[a] < 0 or self.table[inv[a]][a] != self.identity:
+        t, e = self.table, self.identity
+        inv = tuple(row.index(e) if e in row else -1 for row in t)
+        for a, b in enumerate(inv):
+            if b < 0 or t[b][a] != e:
                 raise InvalidArgumentError(f"element {a} has no two-sided inverse")
-        return tuple(inv)
+        return inv
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -229,38 +226,36 @@ def klein_four_group() -> FiniteGroup:
 
 
 def subgroup_generated(G: FiniteGroup, gens: set[int] | frozenset[int] | tuple[int, ...]) -> Subgroup:
-    """Smallest subgroup containing gens, by closure iteration."""
+    """Smallest subgroup containing gens, by a walk from the identity over the generators.
+
+    Each new element is right-multiplied by the generators alone: in a finite
+    group every generator's inverse is one of its powers, so the walk reaches
+    the whole subgroup.
+    """
     gens = set(gens)
     if not gens <= set(G.elements):
         raise InvalidArgumentError(f"generators {gens} are not all elements of the group")
+    table = G.table
     members = {G.identity}
-    frontier = list(gens - members)
-    members |= gens
+    frontier = [G.identity]
     while frontier:
-        x = frontier.pop()
-        for g in list(members):
-            for y in (G.op(x, g), G.op(g, x), G.inv(x)):
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        row = table[frontier.pop()]
+        for s in gens:
+            y = row[s]
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
     return Subgroup(parent=G, members=tuple(sorted(members)))
 
 
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(parent=G, members=tuple(G.elements))
-
-
 def derived_subgroup(U: Subgroup) -> Subgroup:
-    """Subgroup generated by the commutators of U's members."""
+    """Subgroup generated by the commutators of U's members; it lies inside U."""
     G = U.parent
-    commutators = {
-        G.op(G.op(a, b), G.op(G.inv(a), G.inv(b)))
-        for a in U.members
-        for b in U.members
-    }
-    sub = subgroup_generated(G, commutators)
-    # Commutators of members stay inside U, so this is a subgroup of U too.
-    return sub
+    t = G.table
+    inv = G.inverses
+    return subgroup_generated(
+        G, {t[t[a][b]][t[inv[a]][inv[b]]] for a in U.members for b in U.members}
+    )
 
 
 def coset_decomposition(G: FiniteGroup, U: Subgroup) -> CosetDecomposition:

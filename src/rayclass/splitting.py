@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, is_prime, mult_order
+from .arith import euler_phi, is_prime, mult_order, primes_up_to
 from .classfield import (
     FundamentalDiscriminant,
     IdealGroupH,
@@ -145,8 +145,6 @@ def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
 
 def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
     """All primes <= bound that are unramified with e = f = 1 in the field."""
-    from .arith import primes_up_to
-
     if bound < 2:
         raise InvalidArgumentError(f"bound must be >= 2, got {bound}")
     out = []
@@ -204,10 +202,7 @@ class BridgeReport:
 
 def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
     """Run the transfer to {+-1} with the half-system as coset reps, next to Gauss's Lemma."""
-    if system.p != p:
-        raise InvalidArgumentError(f"half-system is for p={system.p}, not {p}")
-    if gcd(a, p) != 1:
-        raise NotCoprimeError(f"{a} is not coprime to {p}")
+    symbol, trace = gauss_lemma(a, p, system)
     G, U, _, derived = _transfer_setup(p)
     # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a
     # transversal, which is the entire content of the bridge.
@@ -216,7 +211,6 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     transfer_signs = tuple(to_sign[u] for _, _, u in result.contributions)
     transfer_value = to_sign[result.value]
-    symbol, trace = gauss_lemma(a, p, system)
     gauss_signs = tuple(row.sign for row in trace.rows)
     return BridgeReport(
         p=p,

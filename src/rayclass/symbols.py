@@ -50,9 +50,6 @@ class HalfSystem:
     def members(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    def index_of(self, residue: int) -> int:
-        return self.elements.index(residue)
-
 
 @dataclass(frozen=True)
 class GaussLemmaRow:

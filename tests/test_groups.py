@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,6 +31,57 @@ def symmetric_group_3():
         tuple(index[tuple(a[b[k]] for k in range(3))] for b in elems) for a in elems
     )
     return FiniteGroup(table=table, identity=index[(0, 1, 2)])
+
+
+def brute_inverses(G):
+    return tuple(next(b for b in G.elements if G.op(a, b) == G.identity) for a in G.elements)
+
+
+def reference_closure(G, gens):
+    """Two-sided products with every member, plus inverses, until nothing is new."""
+    inv = brute_inverses(G)
+    members = {G.identity} | set(gens)
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for g in list(members):
+            for y in (G.op(x, g), G.op(g, x), inv[x]):
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    return tuple(sorted(members))
+
+
+def closure_corpus():
+    """Unit groups mod m <= 40, Z/n for n <= 24, Z/2 x Z/4 x Z/3, S3 and S3 x Z/2."""
+    yield from (group_from_unit_residues(m) for m in range(2, 41))
+    yield from (cyclic_group(n) for n in range(1, 25))
+    yield direct_product(direct_product(cyclic_group(2), cyclic_group(4)), cyclic_group(3))
+    yield symmetric_group_3()
+    yield direct_product(symmetric_group_3(), cyclic_group(2))
+
+
+def test_closure_matches_two_sided_reference():
+    for G in closure_corpus():
+        gen_sets = [{g} for g in G.elements] + [set(pair) for pair in combinations(G.elements, 2)]
+        for gens in gen_sets:
+            assert subgroup_generated(G, gens).members == reference_closure(G, gens), (G.order, gens)
+
+
+def test_inverses_and_commutators_match_brute_force():
+    derived_orders = []
+    for G in closure_corpus():
+        inv = brute_inverses(G)
+        assert G.inverses == inv
+        commutators = {
+            G.op(G.op(a, b), G.op(inv[a], inv[b])) for a in G.elements for b in G.elements
+        }
+        full = Subgroup(parent=G, members=tuple(G.elements))
+        derived = derived_subgroup(full)
+        assert derived.members == reference_closure(G, commutators)
+        derived_orders.append(derived.order)
+    assert derived_orders[-2:] == [3, 3]
+    assert set(derived_orders[:-2]) == {1}
 
 
 def test_unit_residue_groups():
@@ -216,6 +267,13 @@ def test_power_loops_stop_on_malformed_table():
     assert coset_order(U, 0) == 1
     with pytest.raises(InvalidArgumentError):
         coset_order(U, 1)
+    # Row 1 holds no identity at all.
+    with pytest.raises(InvalidArgumentError, match="element 1 has no two-sided inverse"):
+        G.inverses
+    # 1*2 = 0 but 2*1 = 2: the identity in row 1 is only a right inverse.
+    G = FiniteGroup(table=((0, 1, 2), (1, 2, 0), (2, 2, 1)), identity=0)
+    with pytest.raises(InvalidArgumentError, match="element 1 has no two-sided inverse"):
+        G.inverses
 
 
 def test_kernel_of_rejects_non_homomorphism():

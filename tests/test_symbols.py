@@ -10,6 +10,7 @@ from rayclass.errors import (
     InvalidHalfSystemError,
     NotCoprimeError,
 )
+from rayclass.splitting import gauss_lemma_is_transfer
 from rayclass.symbols import (
     HalfSystem,
     default_half_system,
@@ -92,7 +93,16 @@ def test_gauss_lemma_sign_matches_trace_and_brute():
                 assert gauss_lemma_sign(a, p, system) == gauss_lemma(a, p, system)[0] == expected
 
 
-@pytest.mark.parametrize("route", [gauss_lemma, gauss_lemma_sign])
+@pytest.mark.parametrize(
+    "route",
+    [
+        gauss_lemma,
+        gauss_lemma_sign,
+        pytest.param(
+            lambda a, p, system: gauss_lemma_is_transfer(p, a, system), id="gauss_lemma_is_transfer"
+        ),
+    ],
+)
 def test_gauss_lemma_routes_reject_bad_arguments(route):
     with pytest.raises(InvalidArgumentError):
         route(2, 11, default_half_system(7))
