@@ -39,6 +39,8 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
 def cmd_symbol(args) -> int:
     a, n = args.a, args.n
     trace = None
+    if args.method and args.kind != "legendre":
+        raise _usage(f"--method applies only to --kind legendre, not {args.kind}")
     if args.kind == "legendre":
         method = args.method or "euler"
         if method == "brute":
@@ -78,8 +80,8 @@ def cmd_transfer(args) -> int:
     gens = {_unit_id(G, args.mod, tok, "residue") for tok in args.subgroup.split(",")}
     g = _unit_id(G, args.mod, args.element, "element")
     U = groups.subgroup_generated(G, gens)
-    dec = groups.coset_decomposition(G, U)
-    result = groups.transfer(G, U, g, dec)
+    dec = U.cosets
+    result = groups.transfer(G, U, g)
     contributions = [
         {
             "r_i": G.label_of(dec.reps[i]),
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["legendre", "jacobi", "kronecker"])
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--method", choices=["brute", "euler", "gauss-lemma"])
+    p.add_argument("--method", choices=["brute", "euler", "gauss-lemma"], help="--kind legendre only")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_symbol)
 

@@ -127,6 +127,16 @@ class Subgroup:
     def __contains__(self, a: int) -> bool:
         return a in self.member_set
 
+    @cached_property
+    def cosets(self) -> CosetDecomposition:
+        """The canonical left-coset decomposition of the parent by this subgroup."""
+        return coset_decomposition(self.parent, self)
+
+    @cached_property
+    def derived(self) -> Subgroup:
+        """The commutator subgroup U', the modulus of every transfer to this subgroup."""
+        return derived_subgroup(self)
+
     def validate(self) -> None:
         G = self.parent
         s = self.member_set
@@ -144,26 +154,11 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """Left coset representatives r_i for G/U, with an element -> coset lookup."""
+    """Left coset representatives r_i for G/U, and coset_of[g] = i for g in r_i*U."""
 
-    parent: FiniteGroup
-    subgroup: Subgroup
+    # No field refers back to U, which caches its decomposition: that cycle would wait for the GC.
     reps: tuple[int, ...]
-
-    @cached_property
-    def coset_of(self) -> tuple[int, ...]:
-        """coset_of[g] = index i with g in reps[i]*U."""
-        G = self.parent
-        out = [-1] * G.order
-        for i, r in enumerate(self.reps):
-            for u in self.subgroup.members:
-                g = G.op(r, u)
-                if out[g] != -1:
-                    raise InvalidArgumentError("coset representatives are not disjoint")
-                out[g] = i
-        if any(c < 0 for c in out):
-            raise InvalidArgumentError("cosets do not cover the group")
-        return tuple(out)
+    coset_of: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -260,21 +255,32 @@ def derived_subgroup(U: Subgroup) -> Subgroup:
 
 def coset_decomposition(G: FiniteGroup, U: Subgroup) -> CosetDecomposition:
     """Canonical decomposition: least element id per left coset, reps ascending."""
-    seen = [False] * G.order
-    reps = []
+    coset_of = [-1] * G.order
+    reps: list[int] = []
     for g in G.elements:
-        if not seen[g]:
-            reps.append(g)
+        if coset_of[g] < 0:
+            row = G.table[g]
             for u in U.members:
-                seen[G.op(g, u)] = True
-    return CosetDecomposition(parent=G, subgroup=U, reps=tuple(reps))
+                if coset_of[row[u]] >= 0:
+                    raise InvalidArgumentError("coset representatives are not disjoint")
+                coset_of[row[u]] = len(reps)
+            reps.append(g)
+    if -1 in coset_of:
+        raise InvalidArgumentError("cosets do not cover the group")
+    return CosetDecomposition(reps=tuple(reps), coset_of=tuple(coset_of))
 
 
 def decomposition_from_reps(G: FiniteGroup, U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
-    """Decomposition with caller-chosen reps; validated via the coset lookup table."""
-    dec = CosetDecomposition(parent=G, subgroup=U, reps=tuple(reps))
-    dec.coset_of  # force validation
-    return dec
+    """Caller-chosen reps, one per canonical coset; U's canonical lookup, relabelled."""
+    canonical = U.cosets.coset_of
+    position = [-1] * len(U.cosets.reps)
+    for i, r in enumerate(reps):
+        if position[canonical[r]] >= 0:
+            raise InvalidArgumentError("coset representatives are not disjoint")
+        position[canonical[r]] = i
+    if -1 in position:
+        raise InvalidArgumentError("cosets do not cover the group")
+    return CosetDecomposition(reps=tuple(reps), coset_of=tuple(position[c] for c in canonical))
 
 
 def coset_order(U: Subgroup, x: int) -> int:
@@ -289,11 +295,11 @@ def coset_order(U: Subgroup, x: int) -> int:
     raise InvalidArgumentError(f"no power of {x} up to the index {U.index} lies in the subgroup")
 
 
-def _reduce_mod(G: FiniteGroup, x: int, derived: Subgroup) -> int:
+def _reduce_mod(x: int, derived: Subgroup) -> int:
     """Canonical (least-id) representative of the coset x * U'."""
     if derived.order == 1:
         return x
-    return min(G.op(x, d) for d in derived.members)
+    return min(derived.parent.op(x, d) for d in derived.members)
 
 
 def _transfer_product(
@@ -320,23 +326,19 @@ def transfer(
     U: Subgroup,
     g: int,
     decomposition: CosetDecomposition | None = None,
-    derived: Subgroup | None = None,
 ) -> TransferResult:
     """Transfer of g: solve g*r_i = r_j*u_j per coset, return prod u_j mod U'."""
     if decomposition is None:
-        decomposition = coset_decomposition(G, U)
-    if derived is None:
-        derived = derived_subgroup(U)
+        decomposition = U.cosets
     contributions: list[tuple[int, int, int]] = []
     prod = _transfer_product(G, decomposition, g, contributions)
-    return TransferResult(value=_reduce_mod(G, prod, derived), contributions=tuple(contributions))
+    return TransferResult(value=_reduce_mod(prod, U.derived), contributions=tuple(contributions))
 
 
 def transfer_homomorphism(G: FiniteGroup, U: Subgroup) -> TabulatedHom:
     """Tabulate the transfer G -> U (values reduced mod U') for every element."""
-    dec = coset_decomposition(G, U)
-    derived = derived_subgroup(U)
-    values = tuple(_reduce_mod(G, _transfer_product(G, dec, g), derived) for g in G.elements)
+    dec, derived = U.cosets, U.derived
+    values = tuple(_reduce_mod(_transfer_product(G, dec, g), derived) for g in G.elements)
     return TabulatedHom(domain=G, values=values, modulo=derived)
 
 
@@ -347,7 +349,7 @@ def kernel_of(hom: TabulatedHom) -> Subgroup:
     derived = hom.modulo
     for a in G.elements:
         for b in G.elements:
-            if _reduce_mod(G, G.op(values[a], values[b]), derived) != values[G.op(a, b)]:
+            if _reduce_mod(G.op(values[a], values[b]), derived) != values[G.op(a, b)]:
                 raise InvalidHomomorphismError(
                     f"map is not a homomorphism at ({a}, {b})"
                 )

@@ -24,10 +24,8 @@ from .classfield import (
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
 from .groups import (
     Subgroup,
-    coset_decomposition,
     coset_order,
     decomposition_from_reps,
-    derived_subgroup,
     group_from_unit_residues,
     kernel_of,
     subgroup_generated,
@@ -169,7 +167,7 @@ def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
     """Kernel of the transfer (Z/p)^x -> {+-1} as an ideal group; class field Q(sqrt(p*))."""
     if p == 2 or not is_prime(p):
         raise InvalidArgumentError(f"{p} is not an odd prime")
-    G, U, _, _ = _transfer_setup(p)
+    G, U = _transfer_setup(p)
     rcg = RayClassGroup(modulus=Modulus(p, infinite=True), group=G)
     hom = transfer_homomorphism(G, U)
     kernel = kernel_of(hom)
@@ -203,11 +201,11 @@ class BridgeReport:
 def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
     """Run the transfer to {+-1} with the half-system as coset reps, next to Gauss's Lemma."""
     symbol, trace = gauss_lemma(a, p, system)
-    G, U, _, derived = _transfer_setup(p)
+    G, U = _transfer_setup(p)
     # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a
     # transversal, which is the entire content of the bridge.
     dec = decomposition_from_reps(G, U, tuple(G.id_of(aj) for aj in system.elements))
-    result = transfer(G, U, G.id_of(a % p), dec, derived)
+    result = transfer(G, U, G.id_of(a % p), dec)
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     transfer_signs = tuple(to_sign[u] for _, _, u in result.contributions)
     transfer_value = to_sign[result.value]
@@ -251,18 +249,17 @@ def qr_via_splitting(p: int, q: int) -> ReciprocityCheck:
 
 @lru_cache(maxsize=64)
 def _transfer_setup(p: int):
-    """Memoized (G, U, decomposition, U') for the transfer (Z/p)^x -> U = {+-1}."""
+    """Memoized (G, U) for the transfer (Z/p)^x -> U = {+-1}; U keeps its cosets and U'."""
     G = group_from_unit_residues(p)
-    U = subgroup_generated(G, {G.id_of(p - 1)})
-    return G, U, coset_decomposition(G, U), derived_subgroup(U)
+    return G, subgroup_generated(G, {G.id_of(p - 1)})
 
 
 def transfer_sign(p: int, a: int) -> int:
     """Transfer of a's class under (Z/p)^x -> {+-1}, as +-1, with setup cached per p."""
     if gcd(a, p) != 1:
         raise NotCoprimeError(f"{a} is not coprime to {p}")
-    G, U, dec, derived = _transfer_setup(p)
-    result = transfer(G, U, G.id_of(a % p), dec, derived)
+    G, U = _transfer_setup(p)
+    result = transfer(G, U, G.id_of(a % p))
     return 1 if result.value == G.identity else -1
 
 

@@ -250,8 +250,6 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
                     bad.append(f"|G|={G.order}, U={U.members}: V({x}) != {x}^{f}")
                     break
             # Rep independence over random transversals.
-            canonical = groups.coset_decomposition(G, U)
-            derived = groups.derived_subgroup(U)
             sample = (
                 list(G.elements)
                 if G.order <= 12
@@ -259,11 +257,11 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
             )
             for _ in range(50):
                 reps = tuple(
-                    G.op(r, U.members[rng.randrange(U.order)]) for r in canonical.reps
+                    G.op(r, U.members[rng.randrange(U.order)]) for r in U.cosets.reps
                 )
                 dec = groups.decomposition_from_reps(G, U, reps)
                 for g in sample:
-                    got = groups.transfer(G, U, g, dec, derived).value
+                    got = groups.transfer(G, U, g, dec).value
                     if got != hom.values[g]:
                         bad.append(
                             f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps"

@@ -215,3 +215,14 @@ def test_non_integer_token_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "kronecker"])
+@pytest.mark.parametrize("method", ["brute", "euler", "gauss-lemma"])
+def test_method_without_legendre_exits_2(capsys, kind, method):
+    with pytest.raises(SystemExit) as exc:
+        main(["symbol", "--kind", kind, "--a", "2", "--n", "15", "--method", method, "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error: --method applies only to --kind legendre" in err

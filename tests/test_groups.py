@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -168,8 +170,53 @@ def test_coset_decomposition():
 def test_decomposition_from_reps_validates():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="not disjoint"):
         decomposition_from_reps(G, U, (0, 0, 1))
+    with pytest.raises(InvalidArgumentError, match="do not cover"):
+        decomposition_from_reps(G, U, (0, 1))
+    # {1, 2} is not a subgroup: the cosets of 1 and 4 share 1 = 4 * 2.
+    not_closed = Subgroup(parent=G, members=(G.id_of(1), G.id_of(2)))
+    with pytest.raises(InvalidArgumentError, match="not disjoint"):
+        coset_decomposition(G, not_closed)
+
+
+def test_caller_transversal_relabels_the_canonical_lookup():
+    # Every in-repo caller passes reps in canonical coset order, and in an abelian
+    # group a mis-permuted lookup leaves the transfer value unchanged; shuffled
+    # reps and the exact lookup are what show a missing relabel.
+    rng = random.Random(8)
+    corpus = [group_from_unit_residues(m) for m in range(2, 41)]
+    corpus += [symmetric_group_3(), direct_product(symmetric_group_3(), cyclic_group(2))]
+    for G in corpus:
+        for members in sorted({subgroup_generated(G, {g}).members for g in G.elements}):
+            U = Subgroup(parent=G, members=members)
+            expected = transfer_homomorphism(G, U).values
+            for _ in range(3):
+                reps = [G.op(r, rng.choice(members)) for r in U.cosets.reps]
+                rng.shuffle(reps)
+                dec = decomposition_from_reps(G, U, tuple(reps))
+                cosets = [{G.op(r, u) for u in members} for r in reps]
+                assert dec.coset_of == tuple(
+                    next(i for i, coset in enumerate(cosets) if x in coset) for x in G.elements
+                )
+                for g in G.elements:
+                    result = transfer(G, U, g, dec)
+                    assert result.value == expected[g]
+                    for i, j, u in result.contributions:
+                        assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
+
+
+def test_subgroup_and_its_cached_cosets_form_no_cycle():
+    G = group_from_unit_residues(13)
+    U = subgroup_generated(G, {G.id_of(12)})
+    assert (U.cosets.reps, U.derived.order) == ((0, 1, 2, 3, 4, 5), 1)
+    gc.disable()
+    try:
+        ref = weakref.ref(U)
+        del U
+        assert ref() is None  # freed by reference counting, with no collector pass
+    finally:
+        gc.enable()
 
 
 def test_transfer_examples():

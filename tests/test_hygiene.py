@@ -2,6 +2,7 @@
 
 Every import sits at the top of its module, and every name a module imports
 is used in it.  `__init__.py` is skipped: its imports are the re-exports.
+Every module-level private name is used somewhere in the package.
 """
 
 import ast
@@ -11,9 +12,8 @@ import pytest
 
 import rayclass
 
-MODULES = sorted(
-    p for p in Path(rayclass.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(rayclass.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -46,3 +46,34 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
     assert unused == []
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+
+
+def test_every_module_level_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = sorted(
+        f"{name}:{stmt.lineno} {defined}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        for defined in _defined_names(stmt)
+        if defined.startswith("_") and not defined.startswith("__") and defined not in used
+    )
+    assert dead == []

@@ -1,4 +1,8 @@
-"""The verify suites' failure path: counts, failure order and thread invariance."""
+"""The verify suites' failure path: counts, failure order and thread invariance.
+
+A fault planted in the layer a suite checks must make it fail with the passing
+run's check count and the expected first failures, in order.
+"""
 
 import random
 from dataclasses import replace
@@ -7,6 +11,7 @@ import pytest
 
 from rayclass import classfield, splitting, symbols, verify
 from rayclass.arith import primes_up_to
+from rayclass.groups import Subgroup
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -115,3 +120,74 @@ def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
         for a in range(1, 7)
         for system in systems
     ][:10]
+
+
+def test_qr_splitting_catches_non_squares_at_7(monkeypatch):
+    passing = verify.qr_splitting_suite(max_prime=31)
+    assert passing.passed
+    squares = classfield.squares_group
+
+    def non_squares_at_7(p):
+        H = squares(p)
+        if p != 7:
+            return H
+        G = H.parent.group
+        others = tuple(i for i in G.elements if i not in H.subgroup)
+        return replace(H, subgroup=Subgroup(parent=G, members=others))
+
+    monkeypatch.setattr(classfield, "squares_group", non_squares_at_7)
+    failing = verify.qr_splitting_suite(max_prime=31)
+    assert failing.checks == passing.checks
+    qs = [q for q in primes_up_to(31) if q not in (2, 7)]
+    lhs = {q: symbols.kronecker(-7, q) for q in qs}
+    assert failing.failures[0] == "(p=7, q=3): (p*/q)=-1 but splitting gives 1"
+    assert failing.failures == [
+        f"(p=7, q={q}): (p*/q)={lhs[q]} but splitting gives {-lhs[q]}" for q in qs
+    ]
+
+
+def test_euler_formulation_catches_a_wrong_symbol(monkeypatch):
+    passing = verify.euler_formulation_suite(max_disc=20, prime_bound=200)
+    assert passing.passed
+    kronecker = classfield.kronecker
+    monkeypatch.setattr(
+        classfield, "kronecker", lambda a, n: -kronecker(a, n) if (a, n) == (5, 31) else kronecker(a, n)
+    )
+    failing = verify.euler_formulation_suite(max_disc=20, prime_bound=200)
+    assert failing.checks == passing.checks
+    assert failing.failures == ["d=5: symbol not constant, counterexample (31, -1)"]
+
+
+def test_takagi_catches_a_wrong_witness_fraction(monkeypatch):
+    def suite():
+        return verify.takagi_suite(max_disc=20, witness_max_disc=12, witness_max_a=40)
+
+    passing = suite()
+    assert passing.passed and passing.checks == 34
+    fraction = classfield.witness_fraction
+
+    def doubled_at_11(a, witness):
+        num, den = fraction(a, witness)
+        return (2 * num, den) if a == 11 else (num, den)
+
+    monkeypatch.setattr(classfield, "witness_fraction", doubled_at_11)
+    failing = suite()
+    assert failing.checks == passing.checks
+    assert failing.failures == [
+        f"a=11, d={d}: witness for a=11, d={d} fails s = 1 mod {abs(d)}" for d in (5, -7, -8, 12)
+    ]
+
+
+def test_indices_catches_a_wrong_ramification_index(monkeypatch):
+    passing = verify.indices_suite(max_m=12, prime_bound=40)
+    assert passing.passed
+    cyclotomic = splitting.splitting_cyclotomic
+
+    def e_off_by_one(q, m):
+        st = cyclotomic(q, m)
+        return replace(st, e=st.e + 1) if (q, m) == (3, 9) else st
+
+    monkeypatch.setattr(splitting, "splitting_cyclotomic", e_off_by_one)
+    failing = verify.indices_suite(max_m=12, prime_bound=40)
+    assert failing.checks == passing.checks
+    assert failing.failures == ["(q=3, m=9): e*f*g = 7 != phi(m) = 6"]
