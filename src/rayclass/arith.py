@@ -59,6 +59,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """InvalidArgumentError unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not an odd prime")
+
+
 @dataclass(frozen=True)
 class PrimeFactorization:
     """Sorted (prime, exponent) pairs; the empty tuple factors 1."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_prime, primes_up_to
+from .arith import euler_phi, factorize, is_prime, primes_up_to, require_odd_prime
 from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
@@ -208,8 +208,7 @@ def takagi_group_cyclotomic(m: int) -> IdealGroupH:
 
 def squares_group(p: int) -> IdealGroupH:
     """The ideal group of square classes mod p*oo; index 2 in the ray class group."""
-    if p == 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     G = ray_class_group(Modulus(p, infinite=True))
     members = tuple(sorted({G.group.op(i, i) for i in G.group.elements}))
     sub = Subgroup(parent=G.group, members=members)
@@ -219,7 +218,7 @@ def squares_group(p: int) -> IdealGroupH:
 
 def index(H: IdealGroupH) -> int:
     """(D_m : H)."""
-    return H.parent.order // H.subgroup.order
+    return H.subgroup.index
 
 
 @dataclass(frozen=True)

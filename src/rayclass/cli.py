@@ -81,7 +81,7 @@ def cmd_transfer(args) -> int:
     g = _unit_id(G, args.mod, args.element, "element")
     U = groups.subgroup_generated(G, gens)
     dec = U.cosets
-    result = groups.transfer(G, U, g)
+    result = groups.transfer(U, g)
     contributions = [
         {
             "r_i": G.label_of(dec.reps[i]),

@@ -130,7 +130,7 @@ class Subgroup:
     @cached_property
     def cosets(self) -> CosetDecomposition:
         """The canonical left-coset decomposition of the parent by this subgroup."""
-        return coset_decomposition(self.parent, self)
+        return coset_decomposition(self)
 
     @cached_property
     def derived(self) -> Subgroup:
@@ -171,9 +171,8 @@ class TransferResult:
 
 @dataclass(frozen=True)
 class TabulatedHom:
-    """A map G -> G tabulated per element; values are canonical coset reps modulo `modulo`."""
+    """A map G -> G, G = modulo.parent, tabulated per element; values are canonical reps mod `modulo`."""
 
-    domain: FiniteGroup
     values: tuple[int, ...]
     modulo: Subgroup  # values live in its parent and are reduced mod this subgroup
 
@@ -228,7 +227,7 @@ def subgroup_generated(G: FiniteGroup, gens: set[int] | frozenset[int] | tuple[i
     the whole subgroup.
     """
     gens = set(gens)
-    if not gens <= set(G.elements):
+    if not all(s in G.elements for s in gens):
         raise InvalidArgumentError(f"generators {gens} are not all elements of the group")
     table = G.table
     members = {G.identity}
@@ -253,8 +252,17 @@ def derived_subgroup(U: Subgroup) -> Subgroup:
     )
 
 
-def coset_decomposition(G: FiniteGroup, U: Subgroup) -> CosetDecomposition:
-    """Canonical decomposition: least element id per left coset, reps ascending."""
+def _require_elements(G: FiniteGroup, ids: tuple[int, ...]) -> None:
+    """InvalidArgumentError unless every id names an element of G; a negative id would alias one."""
+    elements = G.elements
+    for x in ids:
+        if x not in elements:
+            raise InvalidArgumentError(f"{x} is not an element of the group of order {G.order}")
+
+
+def coset_decomposition(U: Subgroup) -> CosetDecomposition:
+    """Canonical decomposition of U.parent: least element id per left coset, reps ascending."""
+    G = U.parent
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in G.elements:
@@ -270,8 +278,9 @@ def coset_decomposition(G: FiniteGroup, U: Subgroup) -> CosetDecomposition:
     return CosetDecomposition(reps=tuple(reps), coset_of=tuple(coset_of))
 
 
-def decomposition_from_reps(G: FiniteGroup, U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
+def decomposition_from_reps(U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
     """Caller-chosen reps, one per canonical coset; U's canonical lookup, relabelled."""
+    _require_elements(U.parent, reps)
     canonical = U.cosets.coset_of
     position = [-1] * len(U.cosets.reps)
     for i, r in enumerate(reps):
@@ -285,6 +294,7 @@ def decomposition_from_reps(G: FiniteGroup, U: Subgroup, reps: tuple[int, ...]) 
 
 def coset_order(U: Subgroup, x: int) -> int:
     """Order of the coset x*U: the least k >= 1 with x^k in U (at most the index)."""
+    _require_elements(U.parent, (x,))
     t = U.parent.table
     members = U.member_set
     y = x
@@ -321,13 +331,10 @@ def _transfer_product(
     return prod
 
 
-def transfer(
-    G: FiniteGroup,
-    U: Subgroup,
-    g: int,
-    decomposition: CosetDecomposition | None = None,
-) -> TransferResult:
-    """Transfer of g: solve g*r_i = r_j*u_j per coset, return prod u_j mod U'."""
+def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> TransferResult:
+    """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U'."""
+    G = U.parent
+    _require_elements(G, (g,))
     if decomposition is None:
         decomposition = U.cosets
     contributions: list[tuple[int, int, int]] = []
@@ -335,16 +342,16 @@ def transfer(
     return TransferResult(value=_reduce_mod(prod, U.derived), contributions=tuple(contributions))
 
 
-def transfer_homomorphism(G: FiniteGroup, U: Subgroup) -> TabulatedHom:
-    """Tabulate the transfer G -> U (values reduced mod U') for every element."""
-    dec, derived = U.cosets, U.derived
+def transfer_homomorphism(U: Subgroup) -> TabulatedHom:
+    """Tabulate the transfer U.parent -> U (values reduced mod U') for every element."""
+    G, dec, derived = U.parent, U.cosets, U.derived
     values = tuple(_reduce_mod(_transfer_product(G, dec, g), derived) for g in G.elements)
-    return TabulatedHom(domain=G, values=values, modulo=derived)
+    return TabulatedHom(values=values, modulo=derived)
 
 
 def kernel_of(hom: TabulatedHom) -> Subgroup:
     """Preimage of the identity coset; verifies the homomorphism property first."""
-    G = hom.domain
+    G = hom.modulo.parent
     values = hom.values
     derived = hom.modulo
     for a in G.elements:

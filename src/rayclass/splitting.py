@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, is_prime, mult_order, primes_up_to
+from .arith import euler_phi, is_prime, mult_order, primes_up_to, require_odd_prime
 from .classfield import (
     FundamentalDiscriminant,
     IdealGroupH,
     Modulus,
     RayClassGroup,
-    ideal_class,
     squares_group,
 )
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
@@ -86,7 +85,7 @@ class CyclotomicSubfield:
 
     @property
     def degree(self) -> int:
-        return self.subgroup.parent.order // self.subgroup.order
+        return self.subgroup.index
 
 
 FieldDescriptor = Quadratic | Cyclotomic | CyclotomicSubfield
@@ -138,7 +137,7 @@ def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
         raise InvalidArgumentError(f"{q} is not prime")
     if gcd(q, H.parent.modulus.m0) != 1:
         raise NotCoprimeError(f"{q} divides the modulus {H.parent.modulus}")
-    return H.contains(ideal_class(H.parent, q))
+    return H.contains(H.parent.class_of(q))
 
 
 def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
@@ -165,11 +164,10 @@ def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
 
 def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
     """Kernel of the transfer (Z/p)^x -> {+-1} as an ideal group; class field Q(sqrt(p*))."""
-    if p == 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     G, U = _transfer_setup(p)
     rcg = RayClassGroup(modulus=Modulus(p, infinite=True), group=G)
-    hom = transfer_homomorphism(G, U)
+    hom = transfer_homomorphism(U)
     kernel = kernel_of(hom)
     sq = squares_group(p)
     if kernel.members != sq.subgroup.members:
@@ -204,8 +202,8 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
     G, U = _transfer_setup(p)
     # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a
     # transversal, which is the entire content of the bridge.
-    dec = decomposition_from_reps(G, U, tuple(G.id_of(aj) for aj in system.elements))
-    result = transfer(G, U, G.id_of(a % p), dec)
+    dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
+    result = transfer(U, G.id_of(a % p), dec)
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     transfer_signs = tuple(to_sign[u] for _, _, u in result.contributions)
     transfer_value = to_sign[result.value]
@@ -232,9 +230,8 @@ class ReciprocityCheck:
 
 
 def _require_distinct_odd_primes(p: int, q: int) -> None:
-    for n in (p, q):
-        if n == 2 or not is_prime(n):
-            raise InvalidArgumentError(f"{n} is not an odd prime")
+    require_odd_prime(p)
+    require_odd_prime(q)
     if p == q:
         raise InvalidArgumentError("primes must be distinct")
 
@@ -259,7 +256,7 @@ def transfer_sign(p: int, a: int) -> int:
     if gcd(a, p) != 1:
         raise NotCoprimeError(f"{a} is not coprime to {p}")
     G, U = _transfer_setup(p)
-    result = transfer(G, U, G.id_of(a % p))
+    result = transfer(U, G.id_of(a % p))
     return 1 if result.value == G.identity else -1
 
 

@@ -12,18 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .arith import is_prime
+from .arith import require_odd_prime
 from .errors import (
     InternalInconsistencyError,
     InvalidArgumentError,
     InvalidHalfSystemError,
     NotCoprimeError,
 )
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class HalfSystem:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
+        require_odd_prime(self.p)
         m = (self.p - 1) // 2
         if len(self.elements) != m:
             raise InvalidHalfSystemError(
@@ -70,7 +65,7 @@ class GaussLemmaTrace:
 
 def legendre_brute(a: int, p: int) -> int:
     """Legendre symbol by enumerating squares mod p. The slow oracle."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -79,7 +74,7 @@ def legendre_brute(a: int, p: int) -> int:
 
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol via a^((p-1)/2) mod p."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     r = pow(a, (p - 1) // 2, p)
     if r == 0:
         return 0
@@ -171,18 +166,18 @@ def kronecker(d: int, a: int) -> int:
 
 def pstar(p: int) -> int:
     """The signed prime (-1)^((p-1)/2) * p, always = 1 mod 4."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return p if p % 4 == 1 else -p
 
 
 def default_half_system(p: int) -> HalfSystem:
     """The canonical half-system {1, ..., (p-1)/2}."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return HalfSystem(p=p, elements=tuple(range(1, (p - 1) // 2 + 1)))
 
 
 def random_half_system(p: int, rng: random.Random) -> HalfSystem:
     """A uniformly random half-system: pick one representative of each pair {a, -a}."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     elements = tuple(a if rng.random() < 0.5 else p - a for a in range(1, (p - 1) // 2 + 1))
     return HalfSystem(p=p, elements=elements)

@@ -240,10 +240,10 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
         rng = random.Random(seed + 7919 * i)  # per-group stream, stable under threading
         bad = []
         for U in _all_subgroups(G):
-            f = G.order // U.order
+            f = U.index
             if not any(groups.coset_order(U, x) == f for x in G.elements):
                 continue  # the power law below needs a cyclic quotient
-            hom = groups.transfer_homomorphism(G, U)
+            hom = groups.transfer_homomorphism(U)
             # Cyclic-quotient power law.
             for x in G.elements:
                 if hom.values[x] != G.power(x, f):
@@ -259,9 +259,9 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
                 reps = tuple(
                     G.op(r, U.members[rng.randrange(U.order)]) for r in U.cosets.reps
                 )
-                dec = groups.decomposition_from_reps(G, U, reps)
+                dec = groups.decomposition_from_reps(U, reps)
                 for g in sample:
-                    got = groups.transfer(G, U, g, dec).value
+                    got = groups.transfer(U, g, dec).value
                     if got != hom.values[g]:
                         bad.append(
                             f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps"
@@ -288,7 +288,7 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
         G = groups.cyclic_group(n)
         for d in sorted({k for k in range(1, n + 1) if n % k == 0}):
             U = groups.subgroup_generated(G, {d % n})
-            hom = groups.transfer_homomorphism(G, U)
+            hom = groups.transfer_homomorphism(U)
             result.check(
                 set(hom.values) == U.member_set,
                 f"transfer Z/{n} -> subgroup of order {U.order} not surjective",
@@ -300,7 +300,7 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1) -> SuiteResult:
         if g == V4.identity:
             continue
         U = groups.subgroup_generated(V4, {g})
-        hom = groups.transfer_homomorphism(V4, U)
+        hom = groups.transfer_homomorphism(U)
         result.check(
             all(v == V4.identity for v in hom.values),
             f"Klein four transfer to {U.members} is not trivial",

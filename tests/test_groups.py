@@ -159,11 +159,11 @@ def test_derived_subgroup():
 def test_coset_decomposition():
     G = group_from_unit_residues(7)
     full = Subgroup(parent=G, members=tuple(G.elements))
-    assert coset_decomposition(G, full).reps == (G.identity,)
+    assert coset_decomposition(full).reps == (G.identity,)
     trivial = subgroup_generated(G, set())
-    assert coset_decomposition(G, trivial).reps == tuple(G.elements)
+    assert coset_decomposition(trivial).reps == tuple(G.elements)
     U = subgroup_generated(G, {G.id_of(6)})
-    dec = coset_decomposition(G, U)
+    dec = coset_decomposition(U)
     assert [G.label_of(r) for r in dec.reps] == [1, 2, 3]
 
 
@@ -171,13 +171,31 @@ def test_decomposition_from_reps_validates():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
     with pytest.raises(InvalidArgumentError, match="not disjoint"):
-        decomposition_from_reps(G, U, (0, 0, 1))
+        decomposition_from_reps(U, (0, 0, 1))
     with pytest.raises(InvalidArgumentError, match="do not cover"):
-        decomposition_from_reps(G, U, (0, 1))
+        decomposition_from_reps(U, (0, 1))
     # {1, 2} is not a subgroup: the cosets of 1 and 4 share 1 = 4 * 2.
     not_closed = Subgroup(parent=G, members=(G.id_of(1), G.id_of(2)))
     with pytest.raises(InvalidArgumentError, match="not disjoint"):
-        coset_decomposition(G, not_closed)
+        coset_decomposition(not_closed)
+
+
+@pytest.mark.parametrize("bad", [-1, 6], ids=["negative", "order"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda U, x: decomposition_from_reps(U, (x, 1, 2)),
+        lambda U, x: transfer(U, x),
+        lambda U, x: coset_order(U, x),
+    ],
+    ids=["decomposition_from_reps", "transfer", "coset_order"],
+)
+def test_element_ids_outside_the_group_are_rejected(call, bad):
+    # In (Z/7)^x a negative id would index from the end: -1 aliases id 5, the class of 6.
+    G = group_from_unit_residues(7)
+    U = subgroup_generated(G, {G.id_of(6)})
+    with pytest.raises(InvalidArgumentError, match=f"^{bad} is not an element of the group of order 6$"):
+        call(U, bad)
 
 
 def test_caller_transversal_relabels_the_canonical_lookup():
@@ -190,17 +208,17 @@ def test_caller_transversal_relabels_the_canonical_lookup():
     for G in corpus:
         for members in sorted({subgroup_generated(G, {g}).members for g in G.elements}):
             U = Subgroup(parent=G, members=members)
-            expected = transfer_homomorphism(G, U).values
+            expected = transfer_homomorphism(U).values
             for _ in range(3):
                 reps = [G.op(r, rng.choice(members)) for r in U.cosets.reps]
                 rng.shuffle(reps)
-                dec = decomposition_from_reps(G, U, tuple(reps))
+                dec = decomposition_from_reps(U, tuple(reps))
                 cosets = [{G.op(r, u) for u in members} for r in reps]
                 assert dec.coset_of == tuple(
                     next(i for i, coset in enumerate(cosets) if x in coset) for x in G.elements
                 )
                 for g in G.elements:
-                    result = transfer(G, U, g, dec)
+                    result = transfer(U, g, dec)
                     assert result.value == expected[g]
                     for i, j, u in result.contributions:
                         assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
@@ -222,9 +240,9 @@ def test_subgroup_and_its_cached_cosets_form_no_cycle():
 def test_transfer_examples():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
-    dec = coset_decomposition(G, U)
-    assert transfer(G, U, G.identity, dec).value == G.identity
-    result = transfer(G, U, G.id_of(3), dec)
+    dec = coset_decomposition(U)
+    assert transfer(U, G.identity, dec).value == G.identity
+    result = transfer(U, G.id_of(3), dec)
     assert G.label_of(result.value) == 6
     # each contribution solves g*r_i = r_j*u in the table
     for i, j, u in result.contributions:
@@ -238,14 +256,14 @@ def test_transfer_klein_four_trivial():
         if g == V4.identity:
             continue
         U = subgroup_generated(V4, {g})
-        hom = transfer_homomorphism(V4, U)
+        hom = transfer_homomorphism(U)
         assert all(v == V4.identity for v in hom.values)
 
 
 def test_transfer_kernel_is_squares():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
-    hom = transfer_homomorphism(G, U)
+    hom = transfer_homomorphism(U)
     ker = kernel_of(hom)
     assert sorted(G.label_of(i) for i in ker.members) == [1, 2, 4]
 
@@ -265,7 +283,7 @@ def test_transfer_power_law_abelian():
                 orders.add(k)
             if max(orders) != f:
                 continue
-            hom = transfer_homomorphism(G, U)
+            hom = transfer_homomorphism(U)
             for x in G.elements:
                 assert hom.values[x] == G.power(x, f)
 
@@ -277,7 +295,7 @@ def test_transfer_surjective_on_cyclic():
             if n % d:
                 continue
             U = subgroup_generated(G, {d % n})
-            hom = transfer_homomorphism(G, U)
+            hom = transfer_homomorphism(U)
             assert set(hom.values) == U.member_set
 
 
@@ -285,20 +303,20 @@ def test_transfer_rep_independence():
     rng = random.Random(5)
     G = group_from_unit_residues(13)
     U = subgroup_generated(G, {G.id_of(12)})
-    canonical = coset_decomposition(G, U)
-    expected = transfer_homomorphism(G, U).values
+    canonical = coset_decomposition(U)
+    expected = transfer_homomorphism(U).values
     for _ in range(50):
         reps = tuple(G.op(r, U.members[rng.randrange(U.order)]) for r in canonical.reps)
-        dec = decomposition_from_reps(G, U, reps)
+        dec = decomposition_from_reps(U, reps)
         for g in G.elements:
-            assert transfer(G, U, g, dec).value == expected[g]
+            assert transfer(U, g, dec).value == expected[g]
 
 
 def test_transfer_nonabelian_reduces_mod_derived():
     # transfer S3 -> S3 is the identity composed with reduction mod the commutator subgroup
     S3 = symmetric_group_3()
     full = Subgroup(parent=S3, members=tuple(S3.elements))
-    hom = transfer_homomorphism(S3, full)
+    hom = transfer_homomorphism(full)
     derived = derived_subgroup(full)
     for g in S3.elements:
         assert hom.values[g] == min(S3.op(g, d) for d in derived.members)
@@ -326,7 +344,7 @@ def test_power_loops_stop_on_malformed_table():
 def test_kernel_of_rejects_non_homomorphism():
     G = cyclic_group(4)
     trivial = subgroup_generated(G, set())
-    bad = TabulatedHom(domain=G, values=(0, 1, 1, 0), modulo=trivial)
+    bad = TabulatedHom(values=(0, 1, 1, 0), modulo=trivial)
     with pytest.raises(InvalidHomomorphismError):
         kernel_of(bad)
 
@@ -334,9 +352,9 @@ def test_kernel_of_rejects_non_homomorphism():
 def test_kernel_of_identity_and_constant_maps():
     G = cyclic_group(6)
     trivial = subgroup_generated(G, set())
-    ident = TabulatedHom(domain=G, values=tuple(G.elements), modulo=trivial)
+    ident = TabulatedHom(values=tuple(G.elements), modulo=trivial)
     assert kernel_of(ident).members == (G.identity,)
-    const = TabulatedHom(domain=G, values=(G.identity,) * 6, modulo=trivial)
+    const = TabulatedHom(values=(G.identity,) * 6, modulo=trivial)
     assert kernel_of(const).members == tuple(G.elements)
 
 

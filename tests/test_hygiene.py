@@ -2,7 +2,8 @@
 
 Every import sits at the top of its module, and every name a module imports
 is used in it.  `__init__.py` is skipped: its imports are the re-exports.
-Every module-level private name is used somewhere in the package.
+Every module-level private name is used somewhere in the package, and
+`rayclass.__all__` lists exactly the names `__init__.py` re-exports.
 """
 
 import ast
@@ -77,3 +78,14 @@ def test_every_module_level_private_name_is_used():
         if defined.startswith("_") and not defined.startswith("__") and defined not in used
     )
     assert dead == []
+
+
+def test_all_lists_exactly_the_reexported_names():
+    init = next(p for p in PACKAGE if p.name == "__init__.py")
+    tree = ast.parse(init.read_text(), filename=str(init))
+    imported = sorted(
+        name for stmt in tree.body if isinstance(stmt, ast.ImportFrom) for name in _bound_names(stmt)
+    )
+    assert sorted(rayclass.__all__) == imported
+    missing = [name for name in rayclass.__all__ if not hasattr(rayclass, name)]
+    assert missing == []
