@@ -23,12 +23,7 @@ from .errors import (
     TooLargeError,
     WitnessNotFoundError,
 )
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    TABLE_BOUND,
-    group_from_unit_residues,
-)
+from .groups import TABLE_BOUND
 from .symbols import kronecker
 
 
@@ -97,14 +92,14 @@ def fundamental_discriminants(limit: int) -> list[FundamentalDiscriminant]:
 
 @dataclass(frozen=True, eq=False)
 class RayClassGroup:
-    """D_m / P_m^(1) for Q, materialized as a labeled table group."""
+    """D_m / P_m^(1) for Q; each class is its residue label, as in `Modulus.label`."""
 
     modulus: Modulus
-    group: FiniteGroup
+    labels: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return len(self.labels)
 
     def canonical_label(self, residue: int) -> int:
         m0 = self.modulus.m0
@@ -115,63 +110,73 @@ class RayClassGroup:
         return self.modulus.label(residue)
 
     def class_of(self, residue: int) -> "RayClass":
-        return RayClass(parent=self, element=self.group.id_of(self.canonical_label(residue)))
+        return RayClass(parent=self, label=self.canonical_label(residue))
 
 
 @dataclass(frozen=True)
 class RayClass:
     parent: RayClassGroup
-    element: int
-
-    @property
-    def label(self) -> int:
-        return self.parent.group.label_of(self.element)
+    label: int
 
     @property
     def order(self) -> int:
-        return self.parent.group.element_order(self.element)
+        k, x = 1, self
+        while not x.is_identity:
+            k, x = k + 1, x * self
+        return k
 
     def __mul__(self, other: "RayClass") -> "RayClass":
         if other.parent is not self.parent:
             raise InvalidArgumentError("classes belong to different ray class groups")
-        return RayClass(self.parent, self.parent.group.op(self.element, other.element))
+        return self.parent.class_of(self.label * other.label)
 
     def inverse(self) -> "RayClass":
-        return RayClass(self.parent, self.parent.group.inv(self.element))
+        return self.parent.class_of(pow(self.label, -1, self.parent.modulus.m0))
 
     @property
     def is_identity(self) -> bool:
-        return self.element == self.parent.group.identity
+        return self.label == 1
 
 
 @dataclass(frozen=True, eq=False)
 class IdealGroupH:
-    """An ideal group P_m^(1) <= H <= D_m, tagged with where it came from."""
+    """An ideal group P_m^(1) <= H <= D_m, as the set of its ray class labels."""
 
     parent: RayClassGroup
-    subgroup: Subgroup
-    provenance: str
+    labels: frozenset[int]
 
     def contains(self, cls: RayClass) -> bool:
-        return cls.element in self.subgroup
+        return cls.label in self.labels
+
+    def validate(self) -> None:
+        """InvalidArgumentError unless the labels are ray classes, hold 1 and are closed.
+
+        A finite set of group elements closed under products is a subgroup, so
+        inverses and the order need no check.
+        """
+        s = self.labels
+        outside = sorted(s.difference(self.parent.labels))
+        if outside:
+            raise InvalidArgumentError(f"not ray class labels mod {self.parent.modulus}: {outside}")
+        if 1 not in s:
+            raise InvalidArgumentError("subgroup is missing the identity")
+        label = self.parent.modulus.label
+        for a in s:
+            for b in s:
+                if label(a * b) not in s:
+                    raise InvalidArgumentError(f"subgroup not closed at {a}*{b}")
 
 
 def ray_class_group(m: Modulus) -> RayClassGroup:
-    """Materialize D_m / P_m^(1) with residue labels."""
+    """D_m / P_m^(1) as its labels: residues coprime to m0 up to m0, or up to m0 // 2 without oo."""
     m0 = m.m0
+    # The labels are cheap; the bound caps IdealGroupH.validate's O(|H|^2) closure check.
     if euler_phi(m0) > TABLE_BOUND:
         raise TooLargeError(f"phi({m0}) exceeds the table bound {TABLE_BOUND}")
     if m0 <= 2:
-        return RayClassGroup(modulus=m, group=group_from_unit_residues(2))
-    if m.infinite:
-        return RayClassGroup(modulus=m, group=group_from_unit_residues(m0))
-    # Quotient of (Z/m0)^x by {+-1}: label each class {r, m0-r} by its least member.
-    reps = [r for r in range(1, m0 // 2 + 1) if gcd(r, m0) == 1]
-    index = {r: i for i, r in enumerate(reps)}
-    label = m.label
-    table = tuple(tuple(index[label(a * b)] for b in reps) for a in reps)
-    group = FiniteGroup(table=table, identity=index[1], labels=tuple(reps))
-    return RayClassGroup(modulus=m, group=group)
+        return RayClassGroup(modulus=m, labels=(1,))
+    top = m0 if m.infinite else m0 // 2
+    return RayClassGroup(modulus=m, labels=tuple(r for r in range(1, top + 1) if gcd(r, m0) == 1))
 
 
 def ideal_class(G: RayClassGroup, num: int, den: int = 1) -> RayClass:
@@ -189,36 +194,30 @@ def takagi_group_quadratic(d: FundamentalDiscriminant | int) -> IdealGroupH:
     if isinstance(d, int):
         d = FundamentalDiscriminant(d)
     G = ray_class_group(d.modulus)
-    members = tuple(
-        sorted(i for i in G.group.elements if kronecker(d.d, G.group.label_of(i)) == 1)
-    )
-    sub = Subgroup(parent=G.group, members=members)
-    sub.validate()
-    return IdealGroupH(parent=G, subgroup=sub, provenance=f"takagi-quadratic({d.d})")
+    H = IdealGroupH(parent=G, labels=frozenset(r for r in G.labels if kronecker(d.d, r) == 1))
+    H.validate()
+    return H
 
 
 def takagi_group_cyclotomic(m: int) -> IdealGroupH:
     """Norm group of Q(zeta_m) mod m*oo: the principal ray alone."""
     if m < 3:
         raise InvalidArgumentError(f"cyclotomic construction needs m >= 3, got {m}")
-    G = ray_class_group(Modulus(m, infinite=True))
-    sub = Subgroup(parent=G.group, members=(G.group.identity,))
-    return IdealGroupH(parent=G, subgroup=sub, provenance=f"takagi-cyclotomic({m})")
+    return IdealGroupH(parent=ray_class_group(Modulus(m, infinite=True)), labels=frozenset({1}))
 
 
 def squares_group(p: int) -> IdealGroupH:
     """The ideal group of square classes mod p*oo; index 2 in the ray class group."""
     require_odd_prime(p)
     G = ray_class_group(Modulus(p, infinite=True))
-    members = tuple(sorted({G.group.op(i, i) for i in G.group.elements}))
-    sub = Subgroup(parent=G.group, members=members)
-    sub.validate()
-    return IdealGroupH(parent=G, subgroup=sub, provenance=f"squares({p})")
+    H = IdealGroupH(parent=G, labels=frozenset(a * a % p for a in G.labels))
+    H.validate()
+    return H
 
 
 def index(H: IdealGroupH) -> int:
     """(D_m : H)."""
-    return H.subgroup.index
+    return H.parent.order // len(H.labels)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,9 @@ class Subgroup:
     parent: FiniteGroup
     members: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        _require_elements(self.parent, self.members)
+
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)

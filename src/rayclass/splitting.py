@@ -13,13 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import euler_phi, is_prime, mult_order, primes_up_to, require_odd_prime
-from .classfield import (
-    FundamentalDiscriminant,
-    IdealGroupH,
-    Modulus,
-    RayClassGroup,
-    squares_group,
-)
+from .classfield import FundamentalDiscriminant, IdealGroupH, squares_group
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
 from .groups import (
     Subgroup,
@@ -135,8 +129,6 @@ def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
     """True iff the class of (q) lies in the ideal group H."""
     if not is_prime(q):
         raise InvalidArgumentError(f"{q} is not prime")
-    if gcd(q, H.parent.modulus.m0) != 1:
-        raise NotCoprimeError(f"{q} divides the modulus {H.parent.modulus}")
     return H.contains(H.parent.class_of(q))
 
 
@@ -166,15 +158,13 @@ def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
     """Kernel of the transfer (Z/p)^x -> {+-1} as an ideal group; class field Q(sqrt(p*))."""
     require_odd_prime(p)
     G, U = _transfer_setup(p)
-    rcg = RayClassGroup(modulus=Modulus(p, infinite=True), group=G)
-    hom = transfer_homomorphism(U)
-    kernel = kernel_of(hom)
+    kernel = frozenset(G.label_of(k) for k in kernel_of(transfer_homomorphism(U)).members)
     sq = squares_group(p)
-    if kernel.members != sq.subgroup.members:
+    if kernel != sq.labels:
         raise InternalInconsistencyError(
             f"transfer kernel mod {p} differs from the square classes"
         )
-    H = IdealGroupH(parent=rcg, subgroup=kernel, provenance=f"custom(transfer-kernel mod {p}oo)")
+    H = IdealGroupH(parent=sq.parent, labels=kernel)
     return H, Quadratic(FundamentalDiscriminant(pstar(p)))
 
 

@@ -1,9 +1,10 @@
 import pytest
 
-from rayclass.arith import euler_phi, mult_order
+from rayclass.arith import euler_phi, mult_order, primes_up_to
 from rayclass.classfield import (
     ConstancyReport,
     FundamentalDiscriminant,
+    IdealGroupH,
     Modulus,
     artin_class_constancy_check,
     artin_symbol_cyclotomic,
@@ -27,6 +28,8 @@ from rayclass.errors import (
     NotInTakagiGroupError,
     RamifiedError,
 )
+from rayclass.groups import FiniteGroup, coset_order, group_from_unit_residues, subgroup_generated
+from rayclass.splitting import qr_via_splitting, splits_completely_in_class_field
 from rayclass.symbols import kronecker, legendre_brute
 
 
@@ -50,12 +53,12 @@ def test_fundamental_discriminants():
 
 def test_ray_class_group_orders():
     G = ray_class_group(Modulus(3, True))
-    assert G.order == 2 and sorted(G.group.labels) == [1, 2]
+    assert G.order == 2 and sorted(G.labels) == [1, 2]
     G = ray_class_group(Modulus(5, False))
     assert G.order == 2
     G = ray_class_group(Modulus(8, True))
     assert G.order == 4
-    assert all(G.group.op(i, i) == G.group.identity for i in G.group.elements)
+    assert all((c * c).is_identity for c in map(G.class_of, G.labels))
     for m0 in (3, 4, 5, 7, 8, 9, 12):
         assert ray_class_group(Modulus(m0, True)).order == euler_phi(m0)
 
@@ -82,12 +85,12 @@ def test_ideal_class():
 def test_takagi_group_quadratic_examples():
     H = takagi_group_quadratic(-4)
     assert H.parent.modulus == Modulus(4, True)
-    assert [H.parent.group.label_of(i) for i in H.subgroup.members] == [1]
+    assert sorted(H.labels) == [1]
     H = takagi_group_quadratic(5)
     assert H.parent.modulus == Modulus(5, False)
     assert index(H) == 2
     H = takagi_group_quadratic(-3)
-    assert index(H) == 2 and H.subgroup.order == 1
+    assert index(H) == 2 and len(H.labels) == 1
 
 
 def test_takagi_group_quadratic_index_two_sweep():
@@ -101,7 +104,7 @@ def test_takagi_group_quadratic_index_two_sweep():
 def test_takagi_group_cyclotomic():
     for m, idx in ((3, 2), (5, 4), (12, 4)):
         H = takagi_group_cyclotomic(m)
-        assert H.subgroup.order == 1
+        assert len(H.labels) == 1
         assert index(H) == idx == euler_phi(m)
         chk = first_inequality_check(H, euler_phi(m))
         assert chk.holds and chk.divides
@@ -116,7 +119,7 @@ def test_first_inequality_failure_case():
 def test_squares_group():
     for p, sq in ((3, [1]), (7, [1, 2, 4]), (11, [1, 3, 4, 5, 9])):
         H = squares_group(p)
-        assert sorted(H.parent.group.label_of(i) for i in H.subgroup.members) == sq
+        assert sorted(H.labels) == sq
         assert index(H) == 2
 
 
@@ -192,3 +195,82 @@ def test_squares_group_matches_legendre():
         for q in range(1, p):
             cls = H.parent.class_of(q)
             assert H.contains(cls) == (legendre_brute(q, p) == 1)
+
+
+@pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
+def test_ray_classes_agree_with_the_table_route(infinite):
+    # The table route: (Z/n)^x, n = max(m0, 2) (trivial for m0 <= 2), whose ray classes
+    # are the cosets of <1> (with oo) or of <-1> (without).
+    for m0 in range(1, 61):
+        m = Modulus(m0, infinite)
+        G = ray_class_group(m)
+        n = max(m0, 2)
+        T = group_from_unit_residues(n)
+        U = subgroup_generated(T, {T.id_of(1 if infinite else n - 1)})
+        reps, coset_of = U.cosets.reps, U.cosets.coset_of
+        if infinite:
+            assert G.labels == T.labels, m
+        assert G.labels == tuple(T.label_of(r) for r in reps), m
+
+        def label(i):
+            return T.label_of(reps[coset_of[i]])
+
+        for a in reps:
+            cls = G.class_of(T.label_of(a))
+            assert cls.inverse().label == label(T.inv(a)), (m, a)
+            assert cls.order == coset_order(U, a), (m, a)
+            for b in reps:
+                assert (cls * G.class_of(T.label_of(b))).label == label(T.op(a, b)), (m, a, b)
+
+
+def test_squares_group_agrees_with_the_table_squares():
+    for p in primes_up_to(97)[1:]:
+        T = group_from_unit_residues(p)
+        assert squares_group(p).labels == {T.label_of(T.op(i, i)) for i in T.elements}, p
+
+
+def test_takagi_group_quadratic_is_the_kernel_of_the_character():
+    for d in fundamental_discriminants(101):
+        expected = {d.modulus.label(r) for r in range(1, abs(d.d)) if kronecker(d.d, r) == 1}
+        assert takagi_group_quadratic(d).labels == expected, d.d
+
+
+@pytest.mark.parametrize(
+    "m, labels, message",
+    [
+        (Modulus(7, True), {2, 4}, "subgroup is missing the identity"),
+        (Modulus(7, True), {1, 3}, "subgroup not closed at 3*3"),
+        (Modulus(7), {1, 6}, "not ray class labels mod (7): [6]"),
+    ],
+    ids=["identity", "closure", "outside"],
+)
+def test_ideal_group_validate_rejects(m, labels, message):
+    H = IdealGroupH(parent=ray_class_group(m), labels=frozenset(labels))
+    with pytest.raises(InvalidArgumentError) as err:
+        H.validate()
+    assert str(err.value) == message
+
+
+def test_class_field_builders_build_no_table(monkeypatch):
+    built = []
+    init = FiniteGroup.__init__
+
+    def counted(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.order)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    for m0 in (1, 2, 7, 12, 60):
+        for infinite in (True, False):
+            G = ray_class_group(Modulus(m0, infinite))
+            assert ideal_class(G, 1, 1).is_identity
+    squares_group(541)
+    takagi_group_quadratic(-87)
+    takagi_group_cyclotomic(60)
+    assert artin_symbol_cyclotomic(7, 60).order == mult_order(7, 60)
+    artin_class_constancy_check(13, 200)
+    conductor_quadratic(-84)
+    takagi_witness(4, 5)
+    splits_completely_in_class_field(3, squares_group(7))
+    qr_via_splitting(11, 13)
+    assert built == []

@@ -187,8 +187,9 @@ def test_decomposition_from_reps_validates():
         lambda U, x: decomposition_from_reps(U, (x, 1, 2)),
         lambda U, x: transfer(U, x),
         lambda U, x: coset_order(U, x),
+        lambda U, x: Subgroup(parent=U.parent, members=(0, x)),
     ],
-    ids=["decomposition_from_reps", "transfer", "coset_order"],
+    ids=["decomposition_from_reps", "transfer", "coset_order", "Subgroup"],
 )
 def test_element_ids_outside_the_group_are_rejected(call, bad):
     # In (Z/7)^x a negative id would index from the end: -1 aliases id 5, the class of 6.

@@ -9,7 +9,7 @@ from rayclass.classfield import (
     squares_group,
     takagi_group_quadratic,
 )
-from rayclass.errors import RamifiedError
+from rayclass.errors import NotCoprimeError, RamifiedError
 from rayclass.groups import group_from_unit_residues, subgroup_generated
 from rayclass.splitting import (
     Cyclotomic,
@@ -115,6 +115,8 @@ def test_splits_completely_in_class_field():
         assert splits_completely_in_class_field(q, sq5) == (legendre_brute(q, 5) == 1)
     H = takagi_group_quadratic(5)
     assert splits_completely_in_class_field(11, H)
+    with pytest.raises(NotCoprimeError, match="^5 is not coprime to 5$"):
+        splits_completely_in_class_field(5, sq5)
 
 
 def test_spl_sets():
@@ -128,12 +130,12 @@ def test_spl_sets():
 
 def test_transfer_kernel_classfield():
     H, fld = transfer_kernel_classfield(3)
-    assert H.subgroup.order == 1 and fld.d.d == -3
+    assert len(H.labels) == 1 and fld.d.d == -3
     H, fld = transfer_kernel_classfield(7)
-    assert sorted(H.parent.group.label_of(i) for i in H.subgroup.members) == [1, 2, 4]
+    assert sorted(H.labels) == [1, 2, 4]
     assert fld.d.d == -7
     H, fld = transfer_kernel_classfield(5)
-    assert sorted(H.parent.group.label_of(i) for i in H.subgroup.members) == [1, 4]
+    assert sorted(H.labels) == [1, 4]
     assert fld.d.d == 5
 
 
