@@ -9,6 +9,7 @@ commutator subgroup of U.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -141,18 +142,7 @@ class Subgroup:
         return derived_subgroup(self)
 
     def validate(self) -> None:
-        G = self.parent
-        s = self.member_set
-        if G.identity not in s:
-            raise InvalidArgumentError("subgroup is missing the identity")
-        for a in s:
-            if G.inv(a) not in s:
-                raise InvalidArgumentError(f"subgroup not closed under inversion at {a}")
-            for b in s:
-                if G.op(a, b) not in s:
-                    raise InvalidArgumentError(f"subgroup not closed at {a}*{b}")
-        if G.order % len(s) != 0:
-            raise InvalidArgumentError("subgroup order does not divide group order")
+        require_subgroup(self.members, self.parent.identity, self.parent.op)
 
 
 @dataclass(frozen=True)
@@ -220,6 +210,31 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
 
 def klein_four_group() -> FiniteGroup:
     return direct_product(cyclic_group(2), cyclic_group(2))
+
+
+def require_subgroup(members: Iterable[int], identity: int, op: Callable[[int, int], int]) -> list[int]:
+    """Generators from one walk over S = members; InvalidArgumentError unless S is a subgroup under op.
+
+    A finite set that holds the identity and that right multiplication by its own elements never
+    leaves is a subgroup.  Each generator is the least member not yet reached, so it at least
+    doubles the reached subgroup: at most log2|S| generators and |S|*(1 + log2|S|) calls of op.
+    """
+    s = set(members)
+    if identity not in s:
+        raise InvalidArgumentError("subgroup is missing the identity")
+    reached, seen, gens = [identity], {identity}, []
+    while len(reached) < len(s):
+        gens.append(min(s - seen))
+        old = len(reached)  # these are closed under the earlier generators already
+        for i, x in enumerate(reached):  # also visits what the loop appends
+            for g in gens if i >= old else gens[-1:]:
+                y = op(x, g)
+                if y not in s:
+                    raise InvalidArgumentError(f"subgroup not closed at {x}*{g}")
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return gens
 
 
 def subgroup_generated(G: FiniteGroup, gens: set[int] | frozenset[int] | tuple[int, ...]) -> Subgroup:
@@ -353,16 +368,14 @@ def transfer_homomorphism(U: Subgroup) -> TabulatedHom:
 
 
 def kernel_of(hom: TabulatedHom) -> Subgroup:
-    """Preimage of the identity coset; verifies the homomorphism property first."""
+    """Preimage of the identity coset; first checks f(a*s) = f(a)*f(s) for every a and generator s."""
     G = hom.modulo.parent
     values = hom.values
     derived = hom.modulo
-    for a in G.elements:
-        for b in G.elements:
-            if _reduce_mod(G.op(values[a], values[b]), derived) != values[G.op(a, b)]:
-                raise InvalidHomomorphismError(
-                    f"map is not a homomorphism at ({a}, {b})"
-                )
+    for s in require_subgroup(G.elements, G.identity, G.op):
+        for a in G.elements:
+            if _reduce_mod(G.op(values[a], values[s]), derived) != values[G.op(a, s)]:
+                raise InvalidHomomorphismError(f"map is not a homomorphism at ({a}, {s})")
     # The identity coset of U' is U' itself.
     members = tuple(sorted(g for g in G.elements if values[g] in derived.member_set))
     sub = Subgroup(parent=G, members=members)

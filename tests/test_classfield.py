@@ -1,3 +1,7 @@
+import re
+from itertools import combinations
+from math import log2
+
 import pytest
 
 from rayclass.arith import euler_phi, mult_order, primes_up_to
@@ -240,9 +244,10 @@ def test_takagi_group_quadratic_is_the_kernel_of_the_character():
     [
         (Modulus(7, True), {2, 4}, "subgroup is missing the identity"),
         (Modulus(7, True), {1, 3}, "subgroup not closed at 3*3"),
+        (Modulus(7, True), {1, 2}, "subgroup not closed at 2*2"),
         (Modulus(7), {1, 6}, "not ray class labels mod (7): [6]"),
     ],
-    ids=["identity", "closure", "outside"],
+    ids=["identity", "closure", "closure-at-2", "outside"],
 )
 def test_ideal_group_validate_rejects(m, labels, message):
     H = IdealGroupH(parent=ray_class_group(m), labels=frozenset(labels))
@@ -274,3 +279,51 @@ def test_class_field_builders_build_no_table(monkeypatch):
     splits_completely_in_class_field(3, squares_group(7))
     qr_via_splitting(11, 13)
     assert built == []
+
+
+@pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
+def test_trivial_ideal_group_mod_1_validates(infinite):
+    m = Modulus(1, infinite)
+    assert [m.label(r) for r in (-1, 0, 1, 2)] == [1, 1, 1, 1]
+    IdealGroupH(ray_class_group(m), frozenset({1})).validate()
+
+
+@pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
+def test_ideal_group_validate_agrees_with_the_all_pairs_rule(infinite):
+    """Every label set holding 1, mod m0 with phi(m0) <= 8."""
+    accepted = 0
+    for m0 in (m0 for m0 in range(1, 31) if euler_phi(m0) <= 8):
+        G = ray_class_group(Modulus(m0, infinite))
+        label = G.modulus.label
+        others = [r for r in G.labels if r != 1]
+        for k in range(len(others) + 1):
+            for rest in combinations(others, k):
+                s = frozenset({1, *rest})
+                H = IdealGroupH(parent=G, labels=s)
+                if all(label(a * b) in s for a in s for b in s):
+                    H.validate()
+                    accepted += 1
+                    continue
+                with pytest.raises(InvalidArgumentError) as err:
+                    H.validate()
+                found = re.fullmatch(r"subgroup not closed at (\d+)\*(\d+)", str(err.value))
+                x, y = map(int, found.groups())
+                assert x in s and y in s and label(x * y) not in s, (m0, sorted(s), x, y)
+    # The subgroups of (Z/m0)^x, or those holding -1, counted by brute force over residues.
+    assert accepted == (88 if infinite else 38)
+
+
+def test_squares_group_validates_with_quasilinear_label_calls(monkeypatch):
+    """|S|*(1 + log2|S|)^2 label calls at most; the all-pairs rule made |S|^2."""
+    calls = 0
+    label = Modulus.label
+
+    def counted(modulus, residue):
+        nonlocal calls
+        calls += 1
+        return label(modulus, residue)
+
+    monkeypatch.setattr(Modulus, "label", counted)
+    n = len(squares_group(4093).labels)
+    assert n == 2046
+    assert 0 < calls <= n * (1 + log2(n)) ** 2

@@ -1,7 +1,9 @@
 import gc
 import random
+import re
 import weakref
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import log2
 
 import pytest
 
@@ -18,6 +20,7 @@ from rayclass.groups import (
     group_from_unit_residues,
     kernel_of,
     klein_four_group,
+    require_subgroup,
     subgroup_generated,
     transfer,
     transfer_homomorphism,
@@ -366,3 +369,82 @@ def test_lagrange_on_generated_subgroups():
             U = subgroup_generated(G, {g})
             U.validate()
             assert G.order % U.order == 0
+
+
+def test_validate_agrees_with_the_all_pairs_rule():
+    """Every subset holding 1 of Z/8, (Z/24)^x, (Z/15)^x, Z/2 x Z/4 and S3."""
+    corpus = [
+        cyclic_group(8),
+        group_from_unit_residues(24),
+        group_from_unit_residues(15),
+        direct_product(cyclic_group(2), cyclic_group(4)),
+        symmetric_group_3(),
+    ]
+    accepted = 0
+    for G in corpus:
+        others = [x for x in G.elements if x != G.identity]
+        for k in range(len(others) + 1):
+            for rest in combinations(others, k):
+                U = Subgroup(parent=G, members=(G.identity, *rest))
+                s = U.member_set
+                if (
+                    all(G.op(a, b) in s for a in s for b in s)
+                    and all(G.inv(a) in s for a in s)
+                    and G.order % len(s) == 0
+                ):
+                    gens = require_subgroup(U.members, G.identity, G.op)
+                    assert subgroup_generated(G, gens).members == U.members
+                    assert 2 ** len(gens) <= len(s)
+                    U.validate()
+                    accepted += 1
+                    continue
+                with pytest.raises(InvalidArgumentError) as err:
+                    U.validate()
+                found = re.fullmatch(r"subgroup not closed at (\d+)\*(\d+)", str(err.value))
+                x, y = map(int, found.groups())
+                assert x in s and y in s and G.op(x, y) not in s, (U.members, x, y)
+    assert accepted == 4 + 16 + 8 + 8 + 6  # how many subgroups each group has
+    with pytest.raises(InvalidArgumentError, match="^subgroup is missing the identity$"):
+        Subgroup(parent=corpus[0], members=(1, 2)).validate()
+
+
+def test_kernel_of_agrees_with_the_all_pairs_rule():
+    """Every map Z/4 -> Z/4, and every map S3 -> S3 mod A3 into the two canonical reps."""
+    Z4 = cyclic_group(4)
+    S3 = symmetric_group_3()
+    A3 = derived_subgroup(Subgroup(parent=S3, members=tuple(S3.elements)))
+    odd = min(g for g in S3.elements if g not in A3)
+    cases = [(Z4, subgroup_generated(Z4, set()), v) for v in product(Z4.elements, repeat=4)]
+    cases += [(S3, A3, v) for v in product((S3.identity, odd), repeat=6)]
+    homs = 0
+    for G, modulo, values in cases:
+        hom = TabulatedHom(values=values, modulo=modulo)
+        if all(
+            min(G.op(G.op(values[a], values[b]), d) for d in modulo.members) == values[G.op(a, b)]
+            for a in G.elements
+            for b in G.elements
+        ):
+            kernel = tuple(g for g in G.elements if values[g] in modulo)
+            assert kernel_of(hom).members == kernel
+            homs += 1
+        else:
+            with pytest.raises(InvalidHomomorphismError):
+                kernel_of(hom)
+    assert homs == 4 + 2  # x -> kx for k in Z/4; the trivial map and the sign
+
+
+def test_validate_walks_with_quasilinear_op_calls(monkeypatch):
+    """|S|*(1 + log2|S|)^2 calls of op at most; the all-pairs rule made |S|^2."""
+    G = group_from_unit_residues(4093)
+    calls = 0
+    op = FiniteGroup.op
+
+    def counted(group, a, b):
+        nonlocal calls
+        calls += 1
+        return op(group, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "op", counted)
+    Subgroup(parent=G, members=tuple(G.elements)).validate()
+    n = G.order
+    assert 0 < calls <= n * (1 + log2(n)) ** 2
