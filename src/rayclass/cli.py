@@ -1,7 +1,9 @@
 """Command-line front end with machine-readable output.
 
 Exit codes: 0 success, 1 domain or verification failure, 2 usage error,
-3 retryable (witness search exhausted its prime bound).
+3 retryable (witness search exhausted its prime bound), 141 the reader closed
+standard output early (128 + SIGPIPE, as a shell reports a process ended by
+that signal; nothing is printed).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from . import classfield, groups, splitting, symbols, verify
 from .errors import InvalidArgumentError, RayclassError, WitnessNotFoundError
 
 SCHEMA_VERSION = "1"
+EXIT_CLOSED_PIPE = 141
 
 
 def _record(command: str, inputs: dict, result, trace=None) -> dict:
@@ -276,7 +279,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # Later writes, the interpreter's final flush among them, go to devnull instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except WitnessNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,11 @@ Elements are the integers 0..order-1; an optional label map carries the
 external meaning (e.g. coprime residues).  The transfer of g from G to a
 subgroup U is computed by the literal coset formula: pick representatives r_i,
 solve g*r_i = r_j * u_j with u_j in U, and multiply the u_j modulo the
-commutator subgroup of U.
+commutator subgroup of U.  Each subgroup keeps one canonical coset lookup
+(element -> canonical coset); a caller's transversal adds only a position and
+an inverse rep per coset, so u_j = r_j^-1 * (g*r_i) costs O(1) per coset.
+`transfer` returns the value with its per-coset trace, `transfer_value` the
+value alone.
 """
 
 from __future__ import annotations
@@ -147,11 +151,24 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """Left coset representatives r_i for G/U, and coset_of[g] = i for g in r_i*U."""
+    """Left coset representatives r_i for G/U, over U's canonical coset lookup.
+
+    canonical[g] = c names g's canonical coset (U's own lookup, shared by every
+    transversal of U); position[c] = i and inverse_reps[c] = r_i^-1 for its rep
+    r_i here.  Only reps and the two per-coset tuples belong to one transversal.
+    """
 
     # No field refers back to U, which caches its decomposition: that cycle would wait for the GC.
     reps: tuple[int, ...]
-    coset_of: tuple[int, ...]
+    canonical: tuple[int, ...]
+    position: tuple[int, ...]
+    inverse_reps: tuple[int, ...]
+
+    @cached_property
+    def coset_of(self) -> tuple[int, ...]:
+        """coset_of[g] = i for g in r_i*U: the canonical lookup relabelled, built on first use."""
+        position = self.position
+        return tuple(position[c] for c in self.canonical)
 
 
 @dataclass(frozen=True)
@@ -193,7 +210,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidArgumentError(f"cyclic group order must be >= 1, got {n}")
     _check_bound(n)
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    base = tuple(range(n))
+    table = tuple(base[a:] + base[:a] for a in range(n))  # row a is (a + b) % n over b
     return FiniteGroup(table=table, identity=0)
 
 
@@ -261,13 +279,23 @@ def subgroup_generated(G: FiniteGroup, gens: set[int] | frozenset[int] | tuple[i
 
 
 def derived_subgroup(U: Subgroup) -> Subgroup:
-    """Subgroup generated by the commutators of U's members; it lies inside U."""
+    """U' = the normal closure in U of the commutators of U's generators; it lies inside U.
+
+    Closes the commutators [a, b] of the generators, then adds the conjugates
+    s^-1*n*s of its generators n by U's generators s until none is new (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, sec. 3.3).
+    """
     G = U.parent
     t = G.table
     inv = G.inverses
-    return subgroup_generated(
-        G, {t[t[a][b]][t[inv[a]][inv[b]]] for a in U.members for b in U.members}
-    )
+    gens = require_subgroup(U.members, G.identity, G.op)
+    normal = {t[t[a][b]][t[inv[a]][inv[b]]] for a in gens for b in gens}
+    while True:
+        derived = subgroup_generated(G, normal)
+        conjugates = {t[t[inv[s]][n]][s] for s in gens for n in normal} - derived.member_set
+        if not conjugates:
+            return derived
+        normal |= conjugates
 
 
 def _require_elements(G: FiniteGroup, ids: tuple[int, ...]) -> None:
@@ -293,13 +321,19 @@ def coset_decomposition(U: Subgroup) -> CosetDecomposition:
             reps.append(g)
     if -1 in coset_of:
         raise InvalidArgumentError("cosets do not cover the group")
-    return CosetDecomposition(reps=tuple(reps), coset_of=tuple(coset_of))
+    inv = G.inverses
+    return CosetDecomposition(
+        reps=tuple(reps),
+        canonical=tuple(coset_of),
+        position=tuple(range(len(reps))),
+        inverse_reps=tuple(inv[r] for r in reps),
+    )
 
 
 def decomposition_from_reps(U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
-    """Caller-chosen reps, one per canonical coset; U's canonical lookup, relabelled."""
+    """Caller-chosen reps, one per canonical coset: U's canonical lookup, shared, plus O(index) per coset."""
     _require_elements(U.parent, reps)
-    canonical = U.cosets.coset_of
+    canonical = U.cosets.canonical
     position = [-1] * len(U.cosets.reps)
     for i, r in enumerate(reps):
         if position[canonical[r]] >= 0:
@@ -307,7 +341,13 @@ def decomposition_from_reps(U: Subgroup, reps: tuple[int, ...]) -> CosetDecompos
         position[canonical[r]] = i
     if -1 in position:
         raise InvalidArgumentError("cosets do not cover the group")
-    return CosetDecomposition(reps=tuple(reps), coset_of=tuple(position[c] for c in canonical))
+    inv = U.parent.inverses
+    return CosetDecomposition(
+        reps=tuple(reps),
+        canonical=canonical,
+        position=tuple(position),
+        inverse_reps=tuple(inv[reps[i]] for i in position),
+    )
 
 
 def coset_order(U: Subgroup, x: int) -> int:
@@ -333,24 +373,34 @@ def _reduce_mod(x: int, derived: Subgroup) -> int:
 def _transfer_product(
     G: FiniteGroup, decomposition: CosetDecomposition, g: int, contributions: list | None = None
 ) -> int:
-    """prod u_j over the reps r_i, where g*r_i = r_j*u_j; records (i, j, u_j) if asked."""
+    """prod u_j over the reps r_i, where g*r_i = r_j*u_j; records (i, j, u_j) if asked.
+
+    x = g*r_i lies in the canonical coset c = canonical[x], whose rep here is r_j,
+    so u_j = r_j^-1 * x; j itself is looked up only for the record.  Without a
+    record the loop skips the enumeration and the per-coset branch.
+    """
     t = G.table
-    inv = G.inverses
-    reps = decomposition.reps
-    coset_of = decomposition.coset_of
+    row = t[g]
+    canonical = decomposition.canonical
+    inverse_reps = decomposition.inverse_reps
     prod = G.identity
-    for i, r in enumerate(reps):
-        x = t[g][r]
-        j = coset_of[x]
-        u = t[inv[reps[j]]][x]
-        if contributions is not None:
-            contributions.append((i, j, u))
+    if contributions is None:
+        for r in decomposition.reps:
+            x = row[r]
+            prod = t[prod][t[inverse_reps[canonical[x]]][x]]
+        return prod
+    position = decomposition.position
+    for i, r in enumerate(decomposition.reps):
+        x = row[r]
+        c = canonical[x]
+        u = t[inverse_reps[c]][x]
+        contributions.append((i, position[c], u))
         prod = t[prod][u]
     return prod
 
 
 def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> TransferResult:
-    """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U'."""
+    """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U' and the trace."""
     G = U.parent
     _require_elements(G, (g,))
     if decomposition is None:
@@ -360,18 +410,35 @@ def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = Non
     return TransferResult(value=_reduce_mod(prod, U.derived), contributions=tuple(contributions))
 
 
+def transfer_value(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> int:
+    """transfer(U, g, decomposition).value by the same coset formula, with no trace built."""
+    G = U.parent
+    _require_elements(G, (g,))
+    if decomposition is None:
+        decomposition = U.cosets
+    return _reduce_mod(_transfer_product(G, decomposition, g), U.derived)
+
+
 def transfer_homomorphism(U: Subgroup) -> TabulatedHom:
     """Tabulate the transfer U.parent -> U (values reduced mod U') for every element."""
     G, dec, derived = U.parent, U.cosets, U.derived
-    values = tuple(_reduce_mod(_transfer_product(G, dec, g), derived) for g in G.elements)
+    values = tuple(_transfer_product(G, dec, g) for g in G.elements)
+    if derived.order > 1:
+        values = tuple(_reduce_mod(v, derived) for v in values)
     return TabulatedHom(values=values, modulo=derived)
 
 
 def kernel_of(hom: TabulatedHom) -> Subgroup:
-    """Preimage of the identity coset; first checks f(a*s) = f(a)*f(s) for every a and generator s."""
+    """Preimage of the identity coset; first checks f(a*s) = f(a)*f(s) for every a and generator s.
+
+    InvalidArgumentError unless the map has one value per element of G, each an element of G.
+    """
     G = hom.modulo.parent
     values = hom.values
     derived = hom.modulo
+    if len(values) != G.order:
+        raise InvalidArgumentError(f"map has {len(values)} values for a group of order {G.order}")
+    _require_elements(G, values)
     for s in require_subgroup(G.elements, G.identity, G.op):
         for a in G.elements:
             if _reduce_mod(G.op(values[a], values[s]), derived) != values[G.op(a, s)]:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rayclass.cli import main
+from rayclass.cli import EXIT_CLOSED_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -226,3 +232,29 @@ def test_method_without_legendre_exits_2(capsys, kind, method):
     out, err = capsys.readouterr()
     assert out == ""
     assert "usage error: --method applies only to --kind legendre" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "--mod", "7", "--subgroup", "6", "--element", "3"],
+        ["verify", "--suite", "conductor", "--max-prime", "20"],
+    ],
+    ids=["transfer", "verify"],
+)
+def test_closed_pipe_exits_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayclass.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_PIPE, b"")
+    assert EXIT_CLOSED_PIPE == 141

@@ -24,6 +24,7 @@ from rayclass.groups import (
     subgroup_generated,
     transfer,
     transfer_homomorphism,
+    transfer_value,
     TabulatedHom,
 )
 
@@ -36,6 +37,21 @@ def symmetric_group_3():
         tuple(index[tuple(a[b[k]] for k in range(3))] for b in elems) for a in elems
     )
     return FiniteGroup(table=table, identity=index[(0, 1, 2)])
+
+
+def symmetric_group_4():
+    """S4 with ids 0, 1, 2 for the identity, (0 1) and (0 1 2 3): one walk takes those two as generators.
+
+    Their one commutator generates a subgroup of order 3 that is not normal, so S4' = A4 needs
+    the conjugation step of the normal closure.
+    """
+    first = [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0)]
+    elems = first + [e for e in sorted(permutations(range(4))) if e not in first]
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(
+        tuple(index[tuple(a[b[k]] for k in range(4))] for b in elems) for a in elems
+    )
+    return FiniteGroup(table=table, identity=0)
 
 
 def brute_inverses(G):
@@ -66,6 +82,34 @@ def closure_corpus():
     yield direct_product(symmetric_group_3(), cyclic_group(2))
 
 
+def all_subgroups(G):
+    """Every subgroup of G: the cyclic ones, closed under joins."""
+    subs = {subgroup_generated(G, {g}).members for g in G.elements}
+    frontier = list(subs)
+    while frontier:
+        a = frontier.pop()
+        for b in list(subs):
+            joined = subgroup_generated(G, set(a) | set(b)).members
+            if joined not in subs:
+                subs.add(joined)
+                frontier.append(joined)
+    return [Subgroup(parent=G, members=m) for m in sorted(subs)]
+
+
+def shuffled_transversals():
+    """(U, reps, decomposition) for shuffled random transversals of each cyclic subgroup."""
+    rng = random.Random(8)
+    corpus = [group_from_unit_residues(m) for m in range(2, 41)]
+    corpus += [symmetric_group_3(), direct_product(symmetric_group_3(), cyclic_group(2))]
+    for G in corpus:
+        for members in sorted({subgroup_generated(G, {g}).members for g in G.elements}):
+            U = Subgroup(parent=G, members=members)
+            for _ in range(3):
+                reps = [G.op(r, rng.choice(members)) for r in U.cosets.reps]
+                rng.shuffle(reps)
+                yield U, tuple(reps), decomposition_from_reps(U, tuple(reps))
+
+
 def test_closure_matches_two_sided_reference():
     for G in closure_corpus():
         gen_sets = [{g} for g in G.elements] + [set(pair) for pair in combinations(G.elements, 2)]
@@ -87,6 +131,31 @@ def test_inverses_and_commutators_match_brute_force():
         derived_orders.append(derived.order)
     assert derived_orders[-2:] == [3, 3]
     assert set(derived_orders[:-2]) == {1}
+
+
+def test_derived_subgroup_matches_all_commutators_on_every_subgroup():
+    nonabelian = []
+    for G in [*closure_corpus(), symmetric_group_4()]:
+        inv = brute_inverses(G)
+        for U in all_subgroups(G):
+            commutators = {
+                G.op(G.op(a, b), G.op(inv[a], inv[b])) for a in U.members for b in U.members
+            }
+            derived = derived_subgroup(U)
+            assert derived.members == reference_closure(G, commutators), (G.order, U.members)
+            if derived.order > 1:
+                nonabelian.append((G.order, U.order, derived.order))
+    # S3; S3 x 1, the diagonal S3 and S3 x Z/2; in S4 the four S3, the four D4, A4 and S4.
+    assert sorted(nonabelian) == [(6, 6, 3), (12, 6, 3), (12, 6, 3), (12, 12, 3)] + [
+        (24, 6, 3)
+    ] * 4 + [(24, 8, 2)] * 3 + [(24, 12, 4), (24, 24, 12)]
+
+
+def test_cyclic_group_table_is_addition_mod_n():
+    for n in range(1, 65):
+        assert cyclic_group(n).table == tuple(
+            tuple((a + b) % n for b in range(n)) for a in range(n)
+        )
 
 
 def test_unit_residue_groups():
@@ -228,6 +297,24 @@ def test_caller_transversal_relabels_the_canonical_lookup():
                         assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
 
 
+def test_transfer_value_is_the_traced_transfer_value():
+    for U, _, dec in shuffled_transversals():
+        for g in U.parent.elements:
+            assert transfer_value(U, g, dec) == transfer(U, g, dec).value
+            assert transfer_value(U, g) == transfer(U, g).value
+
+
+def test_caller_transversal_shares_the_canonical_lookup():
+    for U, reps, dec in shuffled_transversals():
+        G = U.parent
+        assert dec.canonical is U.cosets.canonical
+        assert dec.reps == reps
+        assert len(dec.position) == len(dec.inverse_reps) == U.index
+        for c, i in enumerate(dec.position):
+            assert G.op(dec.inverse_reps[c], reps[i]) == G.identity
+        assert "coset_of" not in vars(dec)  # the relabelled O(|G|) lookup is built only when read
+
+
 def test_subgroup_and_its_cached_cosets_form_no_cycle():
     G = group_from_unit_residues(13)
     U = subgroup_generated(G, {G.id_of(12)})
@@ -351,6 +438,21 @@ def test_kernel_of_rejects_non_homomorphism():
     bad = TabulatedHom(values=(0, 1, 1, 0), modulo=trivial)
     with pytest.raises(InvalidHomomorphismError):
         kernel_of(bad)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((0, 5, 2, 3), "^5 is not an element of the group of order 4$"),
+        ((0, 1, 2), "^map has 3 values for a group of order 4$"),
+    ],
+    ids=["out-of-range", "short"],
+)
+def test_kernel_of_rejects_values_outside_the_group(values, message):
+    G = cyclic_group(4)
+    hom = TabulatedHom(values=values, modulo=subgroup_generated(G, set()))
+    with pytest.raises(InvalidArgumentError, match=message):
+        kernel_of(hom)
 
 
 def test_kernel_of_identity_and_constant_maps():

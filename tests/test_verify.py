@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from rayclass import classfield, splitting, symbols, verify
+from rayclass import classfield, groups, splitting, symbols, verify
 from rayclass.arith import primes_up_to
 
 
@@ -188,3 +188,39 @@ def test_indices_catches_a_wrong_ramification_index(monkeypatch):
     failing = verify.indices_suite(max_m=12, prime_bound=40)
     assert failing.checks == passing.checks
     assert failing.failures == ["(q=3, m=9): e*f*g = 7 != phi(m) = 6"]
+
+
+# transfer-props counts one check per group that passes and one per failure
+# otherwise, so a failing run's count differs from the passing run's.
+def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
+    passing = verify.transfer_props_suite(max_order=8)
+    assert passing.passed and passing.checks == 48
+    product = groups._transfer_product
+
+    def skip_last_coset(G, decomposition, g, contributions=None):
+        return product(G, replace(decomposition, reps=decomposition.reps[:-1]), g, contributions)
+
+    monkeypatch.setattr(groups, "_transfer_product", skip_last_coset)
+    failing = verify.transfer_props_suite(max_order=8)
+    # (Z/3)^x and (Z/4)^x come first, then (Z/5)^x; U = G has the one coset that is skipped.
+    assert failing.failures[:3] == [
+        "|G|=2, U=(0, 1): V(1) != 1^1",
+        "|G|=2, U=(0, 1): V(1) != 1^1",
+        "|G|=4, U=(0, 3): V(1) != 1^2",
+    ]
+
+
+def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
+    passing = verify.transfer_props_suite(max_order=8)
+    assert passing.passed
+    value = groups.transfer_value
+
+    def canonical_inverse_reps(U, g, decomposition=None):
+        # u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.
+        stale = replace(decomposition, inverse_reps=U.cosets.inverse_reps)
+        return value(U, g, stale)
+
+    monkeypatch.setattr(groups, "transfer_value", canonical_inverse_reps)
+    failing = verify.transfer_props_suite(max_order=8)
+    # For U = G = (Z/3)^x the one rep is a random member of U, so the identity's value moves.
+    assert failing.failures == ["|G|=2, U=(0, 1): transfer(0) depends on reps"] * 10
