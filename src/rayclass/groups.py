@@ -376,25 +376,20 @@ def _transfer_product(
     """prod u_j over the reps r_i, where g*r_i = r_j*u_j; records (i, j, u_j) if asked.
 
     x = g*r_i lies in the canonical coset c = canonical[x], whose rep here is r_j,
-    so u_j = r_j^-1 * x; j itself is looked up only for the record.  Without a
-    record the loop skips the enumeration and the per-coset branch.
+    so u_j = r_j^-1 * x; j itself is looked up only for the record.
     """
     t = G.table
     row = t[g]
     canonical = decomposition.canonical
+    position = decomposition.position
     inverse_reps = decomposition.inverse_reps
     prod = G.identity
-    if contributions is None:
-        for r in decomposition.reps:
-            x = row[r]
-            prod = t[prod][t[inverse_reps[canonical[x]]][x]]
-        return prod
-    position = decomposition.position
     for i, r in enumerate(decomposition.reps):
         x = row[r]
         c = canonical[x]
         u = t[inverse_reps[c]][x]
-        contributions.append((i, position[c], u))
+        if contributions is not None:
+            contributions.append((i, position[c], u))
         prod = t[prod][u]
     return prod
 
@@ -422,9 +417,7 @@ def transfer_value(U: Subgroup, g: int, decomposition: CosetDecomposition | None
 def transfer_homomorphism(U: Subgroup) -> TabulatedHom:
     """Tabulate the transfer U.parent -> U (values reduced mod U') for every element."""
     G, dec, derived = U.parent, U.cosets, U.derived
-    values = tuple(_transfer_product(G, dec, g) for g in G.elements)
-    if derived.order > 1:
-        values = tuple(_reduce_mod(v, derived) for v in values)
+    values = tuple(_reduce_mod(_transfer_product(G, dec, g), derived) for g in G.elements)
     return TabulatedHom(values=values, modulo=derived)
 
 
