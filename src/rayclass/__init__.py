@@ -22,6 +22,7 @@ from .groups import (
     transfer,
     transfer_homomorphism,
     transfer_value,
+    unit_group,
 )
 from .splitting import (
     qr_via_splitting,
@@ -48,7 +49,7 @@ __all__ = [
     "takagi_group_quadratic", "takagi_witness",
     "FiniteGroup", "Subgroup", "cyclic_group", "direct_product",
     "group_from_unit_residues", "subgroup_generated", "transfer",
-    "transfer_homomorphism", "transfer_value",
+    "transfer_homomorphism", "transfer_value", "unit_group",
     "qr_via_splitting", "qr_via_transfer", "spl_set",
     "splitting_cyclotomic", "splitting_quadratic",
     "default_half_system", "gauss_lemma", "gauss_lemma_sign", "jacobi", "kronecker",

@@ -79,7 +79,7 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    G = groups.group_from_unit_residues(args.mod)
+    G = groups.unit_group(args.mod)
     gens = {_unit_id(G, args.mod, tok, "residue") for tok in args.subgroup.split(",")}
     g = _unit_id(G, args.mod, args.element, "element")
     U = groups.subgroup_generated(G, gens)
@@ -125,7 +125,7 @@ def cmd_splitting(args) -> int:
         if len(args.field) != 3:
             raise _usage("--field subfield needs m and comma-separated generators")
         m = _int(args.field[1])
-        G = groups.group_from_unit_residues(m)
+        G = groups.unit_group(m)
         gens = {_unit_id(G, m, tok, "generator") for tok in args.field[2].split(",")}
         U = groups.subgroup_generated(G, gens)
         st = splitting.splitting_in_subfield(args.prime, m, U)

@@ -1,20 +1,25 @@
-"""Finite groups as explicit multiplication tables, cosets, and the transfer map.
+"""Finite groups given by their multiplication tables, cosets, and the transfer map.
 
 Elements are the integers 0..order-1; an optional label map carries the
-external meaning (e.g. coprime residues).  The transfer of g from G to a
-subgroup U is computed by the literal coset formula: pick representatives r_i,
-solve g*r_i = r_j * u_j with u_j in U, and multiply the u_j modulo the
-commutator subgroup of U.  Each subgroup keeps one canonical coset lookup
-(element -> canonical coset); a caller's transversal adds only a position and
-an inverse rep per coset, so u_j = r_j^-1 * (g*r_i) costs O(1) per coset.
-`transfer` returns the value with its per-coset trace, `transfer_value` the
-value alone.
+external meaning (e.g. coprime residues).  (Z/m)^x has two builders with the
+same ids (the ascending coprime residues): `group_from_unit_residues` stores
+all phi(m)^2 products, which pays off when a sweep reads each small table many
+times (the transfer-props corpus, `splitting._transfer_setup`), and
+`unit_group` computes each product r*s mod m on read and each inverse by
+`pow`, so a one-shot query (CLI `transfer`, `splitting --field subfield`)
+costs O(m) to set up.  The transfer of g from G to a subgroup U is computed by
+the literal coset formula: pick representatives r_i, solve g*r_i = r_j * u_j
+with u_j in U, and multiply the u_j modulo the commutator subgroup of U.  Each
+subgroup keeps one canonical coset lookup (element -> canonical coset); a
+caller's transversal adds only a position and an inverse rep per coset, so
+u_j = r_j^-1 * (g*r_i) costs O(1) per coset.  `transfer` returns the value
+with its per-coset trace, `transfer_value` the value alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from itertools import product as iter_product
@@ -33,11 +38,11 @@ class FiniteGroup:
     identity: int
     labels: tuple[int, ...] | None = None
 
-    @property
+    @cached_property
     def order(self) -> int:
         return len(self.table)
 
-    @property
+    @cached_property
     def elements(self) -> range:
         return range(self.order)
 
@@ -164,12 +169,6 @@ class CosetDecomposition:
     position: tuple[int, ...]
     inverse_reps: tuple[int, ...]
 
-    @cached_property
-    def coset_of(self) -> tuple[int, ...]:
-        """coset_of[g] = i for g in r_i*U: the canonical lookup relabelled, built on first use."""
-        position = self.position
-        return tuple(position[c] for c in self.canonical)
-
 
 @dataclass(frozen=True)
 class TransferResult:
@@ -192,17 +191,57 @@ def _check_bound(order: int) -> None:
         raise TooLargeError(f"group of order {order} exceeds table bound {TABLE_BOUND}")
 
 
-def group_from_unit_residues(m: int) -> FiniteGroup:
-    """(Z/m)^x as a table group, elements labeled by coprime residues."""
+def _unit_residues(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The residues coprime to m, ascending, and residue -> id: the ids of both (Z/m)^x builders."""
     if m < 2:
         raise InvalidArgumentError(f"modulus must be >= 2, got {m}")
     _check_bound(euler_phi(m))
-    residues = [r for r in range(1, m) if gcd(r, m) == 1]
-    index = {r: i for i, r in enumerate(residues)}
+    residues = tuple(r for r in range(1, m) if gcd(r, m) == 1)
+    return residues, {r: i for i, r in enumerate(residues)}
+
+
+def group_from_unit_residues(m: int) -> FiniteGroup:
+    """(Z/m)^x as a table group, elements labeled by coprime residues."""
+    residues, index = _unit_residues(m)
     table = tuple(
         tuple(index[a * b % m] for b in residues) for a in residues
     )
-    return FiniteGroup(table=table, identity=index[1], labels=tuple(residues))
+    return FiniteGroup(table=table, identity=index[1], labels=residues)
+
+
+class _UnitRow:
+    """Row r of (Z/m)^x's table: row[b] is the id of r * r_b mod m, computed on read."""
+
+    __slots__ = ("r", "m", "residues", "index")
+
+    def __init__(self, r: int, m: int, residues: tuple[int, ...], index: dict[int, int]) -> None:
+        self.r, self.m, self.residues, self.index = r, m, residues, index
+
+    def __getitem__(self, b: int) -> int:
+        return self.index[self.r * self.residues[b] % self.m]
+
+
+@dataclass(frozen=True, eq=False)
+class UnitGroup(FiniteGroup):
+    """(Z/m)^x with no stored products: table[a][b] is r_a*r_b mod m and inverses come from pow.
+
+    Its own dataclass __init__ leaves FiniteGroup.__init__ alone, so what counts
+    the cells of stored tables through that method counts none here.
+    """
+
+    modulus: int = field(kw_only=True)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        m = self.modulus
+        return tuple(self.id_of(pow(r, -1, m)) for r in self.labels)
+
+
+def unit_group(m: int) -> UnitGroup:
+    """(Z/m)^x with the ids and labels of group_from_unit_residues(m), in O(m) time and memory."""
+    residues, index = _unit_residues(m)
+    table = tuple(_UnitRow(r, m, residues, index) for r in residues)
+    return UnitGroup(table=table, identity=index[1], labels=residues, modulus=m)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -262,13 +262,10 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                 # choice(members) draws what members[randrange(len(members))] would.
                 reps = tuple(table[r][choice(members)] for r in U.cosets.reps)
                 dec = groups.decomposition_from_reps(U, reps)
-                for g in sample:
-                    got = groups.transfer_value(U, g, dec)
-                    if got != hom.values[g]:
-                        bad.append(
-                            f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps"
-                        )
-                        break
+                g = next((g for g in sample if groups.transfer_value(U, g, dec) != hom.values[g]), None)
+                if g is not None:
+                    bad.append(f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps")
+                    break  # one failure per subgroup; later draws would repeat it
             # Homomorphism property, on generators, for modest orders.
             if G.order <= 100:
                 try:

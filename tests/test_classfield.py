@@ -211,13 +211,13 @@ def test_ray_classes_agree_with_the_table_route(infinite):
         n = max(m0, 2)
         T = group_from_unit_residues(n)
         U = subgroup_generated(T, {T.id_of(1 if infinite else n - 1)})
-        reps, coset_of = U.cosets.reps, U.cosets.coset_of
+        reps, canonical, position = U.cosets.reps, U.cosets.canonical, U.cosets.position
         if infinite:
             assert G.labels == T.labels, m
         assert G.labels == tuple(T.label_of(r) for r in reps), m
 
         def label(i):
-            return T.label_of(reps[coset_of[i]])
+            return T.label_of(reps[position[canonical[i]]])
 
         for a in reps:
             cls = G.class_of(T.label_of(a))

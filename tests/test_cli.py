@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from rayclass import groups
 from rayclass.cli import EXIT_CLOSED_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -258,3 +260,36 @@ def test_closed_pipe_exits_quietly(argv):
         os.close(write)
     assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_PIPE, b"")
     assert EXIT_CLOSED_PIPE == 141
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "--mod", "4093", "--subgroup", "4092", "--element", "2", "--json"],
+        ["transfer", "--mod", "40", "--subgroup", "3,7", "--element", "11", "--json"],
+        ["transfer", "--mod", "1155", "--subgroup", "2,4,8", "--element", "13"],
+        ["transfer", "--mod", "2", "--subgroup", "1", "--element", "1", "--json"],
+        ["splitting", "--field", "subfield", "13", "12", "--prime", "3", "--json"],
+        ["splitting", "--field", "subfield", "20", "3", "--prime", "7"],
+        ["transfer", "--mod", "8", "--subgroup", "3", "--element", "4"],  # not coprime: exit 1
+        ["transfer", "--mod", "4099", "--subgroup", "2", "--element", "3"],  # phi(m) > 4096: exit 1
+        ["splitting", "--field", "subfield", "4099", "2", "--prime", "3"],
+    ],
+)
+def test_unit_group_output_matches_the_table_group(capsys, monkeypatch, argv):
+    computed = run(capsys, *argv)
+    monkeypatch.setattr(groups, "unit_group", groups.group_from_unit_residues)
+    assert computed == run(capsys, *argv)
+
+
+def test_transfer_at_the_table_bound_stays_small(capsys):
+    argv = ["transfer", "--mod", "4093", "--subgroup", "4092", "--element", "2", "--json"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 10 * 2**20  # the phi(m)^2 table allocated over 100 MB here

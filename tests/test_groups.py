@@ -26,6 +26,7 @@ from rayclass.groups import (
     transfer_homomorphism,
     transfer_value,
     TabulatedHom,
+    unit_group,
 )
 
 
@@ -189,8 +190,11 @@ def test_group_table_is_valid():
 def test_too_large_rejected():
     with pytest.raises(TooLargeError):
         cyclic_group(5000)
-    with pytest.raises(TooLargeError):
-        group_from_unit_residues(65537)
+    for build in (group_from_unit_residues, unit_group):
+        with pytest.raises(TooLargeError, match="^group of order 65536 exceeds table bound 4096$"):
+            build(65537)
+        with pytest.raises(InvalidArgumentError, match="^modulus must be >= 2, got 1$"):
+            build(1)
 
 
 def test_cyclic_group_subgroup_structure():
@@ -287,7 +291,7 @@ def test_caller_transversal_relabels_the_canonical_lookup():
                 rng.shuffle(reps)
                 dec = decomposition_from_reps(U, tuple(reps))
                 cosets = [{G.op(r, u) for u in members} for r in reps]
-                assert dec.coset_of == tuple(
+                assert tuple(dec.position[dec.canonical[x]] for x in G.elements) == tuple(
                     next(i for i, coset in enumerate(cosets) if x in coset) for x in G.elements
                 )
                 for g in G.elements:
@@ -309,10 +313,12 @@ def test_caller_transversal_shares_the_canonical_lookup():
         G = U.parent
         assert dec.canonical is U.cosets.canonical
         assert dec.reps == reps
-        assert len(dec.position) == len(dec.inverse_reps) == U.index
         for c, i in enumerate(dec.position):
             assert G.op(dec.inverse_reps[c], reps[i]) == G.identity
-        assert "coset_of" not in vars(dec)  # the relabelled O(|G|) lookup is built only when read
+        # O(index) per transversal: every field but the shared lookup has one entry per coset.
+        assert {k: len(v) for k, v in vars(dec).items() if k != "canonical"} == dict.fromkeys(
+            ("reps", "position", "inverse_reps"), U.index
+        )
 
 
 def test_subgroup_and_its_cached_cosets_form_no_cycle():
@@ -537,7 +543,7 @@ def test_kernel_of_agrees_with_the_all_pairs_rule():
 
 def test_validate_walks_with_quasilinear_op_calls(monkeypatch):
     """|S|*(1 + log2|S|)^2 calls of op at most; the all-pairs rule made |S|^2."""
-    G = group_from_unit_residues(4093)
+    G = unit_group(4093)
     calls = 0
     op = FiniteGroup.op
 
@@ -550,3 +556,24 @@ def test_validate_walks_with_quasilinear_op_calls(monkeypatch):
     Subgroup(parent=G, members=tuple(G.elements)).validate()
     n = G.order
     assert 0 < calls <= n * (1 + log2(n)) ** 2
+
+
+def test_unit_group_agrees_with_the_table_group():
+    # Same ids by construction, so every derived structure must match exactly.
+    for m in range(2, 151):
+        G, T = unit_group(m), group_from_unit_residues(m)
+        assert (G.labels, G.identity, G.order) == (T.labels, T.identity, T.order), m
+        assert all(G.table[a][b] == T.table[a][b] for a in T.elements for b in T.elements), m
+        assert G.inverses == T.inverses, m
+        seen = set()
+        for gen in T.elements:
+            U, V = subgroup_generated(G, {gen}), subgroup_generated(T, {gen})
+            assert U.members == V.members, (m, gen)
+            if V.members in seen:
+                continue
+            seen.add(V.members)
+            assert U.cosets == V.cosets, (m, gen)
+            assert U.derived.members == V.derived.members, (m, gen)
+            for g in T.elements:
+                assert transfer(U, g) == transfer(V, g), (m, gen, g)
+                assert coset_order(U, g) == coset_order(V, g), (m, gen, g)

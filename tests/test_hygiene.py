@@ -3,7 +3,9 @@
 Every import sits at the top of its module, and every name a module imports
 is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, and
-`rayclass.__all__` lists exactly the names `__init__.py` re-exports.
+`rayclass.__all__` lists exactly the names `__init__.py` re-exports.  Only
+the sweeps that reuse each small table many times build the stored
+(Z/m)^x table.
 """
 
 import ast
@@ -89,3 +91,20 @@ def test_all_lists_exactly_the_reexported_names():
     assert sorted(rayclass.__all__) == imported
     missing = [name for name in rayclass.__all__ if not hasattr(rayclass, name)]
     assert missing == []
+
+
+# The transfer-props corpus and splitting._transfer_setup read each small table
+# many times; a one-shot query takes groups.unit_group, which stores no products.
+TABLE_UNIT_GROUP_USERS = {"verify.py", "splitting.py"}
+
+
+def test_only_the_sweeps_build_the_stored_unit_group_table():
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name not in TABLE_UNIT_GROUP_USERS
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "group_from_unit_residues" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert calls == []

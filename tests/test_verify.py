@@ -223,4 +223,17 @@ def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
     monkeypatch.setattr(groups, "transfer_value", canonical_inverse_reps)
     failing = verify.transfer_props_suite(max_order=8)
     # For U = G = (Z/3)^x the one rep is a random member of U, so the identity's value moves.
-    assert failing.failures == ["|G|=2, U=(0, 1): transfer(0) depends on reps"] * 10
+    # Each rep-dependent subgroup fails once: (Z/3)^x, (Z/4)^x, (Z/5)^x, (Z/6)^x, (Z/7)^x, (Z/8)^x.
+    assert failing.failures == [
+        "|G|=2, U=(0, 1): transfer(0) depends on reps",
+        "|G|=2, U=(0, 1): transfer(0) depends on reps",
+        "|G|=4, U=(0, 3): transfer(0) depends on reps",
+        "|G|=4, U=(0, 1, 2, 3): transfer(0) depends on reps",
+        "|G|=2, U=(0, 1): transfer(0) depends on reps",
+        "|G|=6, U=(0, 5): transfer(0) depends on reps",
+        "|G|=6, U=(0, 1, 3): transfer(0) depends on reps",
+        "|G|=6, U=(0, 1, 2, 3, 4, 5): transfer(0) depends on reps",
+        "|G|=4, U=(0, 1): transfer(0) depends on reps",
+        "|G|=4, U=(0, 2): transfer(0) depends on reps",
+    ]
+    assert failing.checks == 98  # one per failing subgroup, not one per draw
