@@ -2,12 +2,12 @@
 
 Elements are the integers 0..order-1; an optional label map carries the
 external meaning (e.g. coprime residues).  (Z/m)^x has two builders with the
-same ids (the ascending coprime residues): `group_from_unit_residues` stores
-all phi(m)^2 products, which pays off when a sweep reads each small table many
-times (the transfer-props corpus, `splitting._transfer_setup`), and
-`unit_group` computes each product r*s mod m on read and each inverse by
-`pow`, so a one-shot query (CLI `transfer`, `splitting --field subfield`)
-costs O(m) to set up.  The transfer of g from G to a subgroup U is computed by
+same ids (the ascending coprime residues): `unit_group` computes each product
+r*s mod m on read and each inverse by `pow`, so it costs O(m) to set up and
+serves the CLI and `splitting._transfer_setup`; `group_from_unit_residues`
+stores all phi(m)^2 products, which only the transfer-props corpus uses: it
+reads each small table so often that computing the products slowed the suite
+by a fifth.  The transfer of g from G to a subgroup U is computed by
 the literal coset formula: pick representatives r_i, solve g*r_i = r_j * u_j
 with u_j in U, and multiply the u_j modulo the commutator subgroup of U.  Each
 subgroup keeps one canonical coset lookup (element -> canonical coset); a
@@ -232,9 +232,13 @@ class UnitGroup(FiniteGroup):
     modulus: int = field(kw_only=True)
 
     @cached_property
+    def _id_of_label(self) -> dict[int, int]:
+        return self.table[self.identity].index  # the residue -> id index every row shares
+
+    @cached_property
     def inverses(self) -> tuple[int, ...]:
-        m = self.modulus
-        return tuple(self.id_of(pow(r, -1, m)) for r in self.labels)
+        m, index = self.modulus, self._id_of_label
+        return tuple(index[pow(r, -1, m)] for r in self.labels)
 
 
 def unit_group(m: int) -> UnitGroup:

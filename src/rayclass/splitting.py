@@ -19,11 +19,11 @@ from .groups import (
     Subgroup,
     coset_order,
     decomposition_from_reps,
-    group_from_unit_residues,
     kernel_of,
     subgroup_generated,
     transfer,
     transfer_homomorphism,
+    unit_group,
 )
 from .symbols import HalfSystem, gauss_lemma, kronecker, pstar
 
@@ -236,8 +236,11 @@ def qr_via_splitting(p: int, q: int) -> ReciprocityCheck:
 
 @lru_cache(maxsize=64)
 def _transfer_setup(p: int):
-    """Memoized (G, U) for the transfer (Z/p)^x -> U = {+-1}; U keeps its cosets and U'."""
-    G = group_from_unit_residues(p)
+    """Memoized (G, U) for the transfer (Z/p)^x -> U = {+-1}; U keeps its cosets and U'.
+
+    G stores no products, so each cached entry is O(p) whatever p a caller passes.
+    """
+    G = unit_group(p)
     return G, subgroup_generated(G, {G.id_of(p - 1)})
 
 

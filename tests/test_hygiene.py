@@ -4,8 +4,7 @@ Every import sits at the top of its module, and every name a module imports
 is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, and
 `rayclass.__all__` lists exactly the names `__init__.py` re-exports.  Only
-the sweeps that reuse each small table many times build the stored
-(Z/m)^x table.
+the transfer-props corpus builds the stored (Z/m)^x table.
 """
 
 import ast
@@ -93,12 +92,13 @@ def test_all_lists_exactly_the_reexported_names():
     assert missing == []
 
 
-# The transfer-props corpus and splitting._transfer_setup read each small table
-# many times; a one-shot query takes groups.unit_group, which stores no products.
-TABLE_UNIT_GROUP_USERS = {"verify.py", "splitting.py"}
+# The transfer-props corpus reads each small table so often that computed
+# products slowed it by a fifth; everything else takes groups.unit_group, which
+# stores no products.
+TABLE_UNIT_GROUP_USERS = {"verify.py"}
 
 
-def test_only_the_sweeps_build_the_stored_unit_group_table():
+def test_only_the_corpus_builds_the_stored_unit_group_table():
     calls = sorted(
         f"{path.name}:{node.lineno}"
         for path in MODULES
