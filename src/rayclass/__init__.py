@@ -21,7 +21,7 @@ from .groups import (
     subgroup_generated,
     transfer,
     transfer_homomorphism,
-    transfer_value,
+    transfer_values,
     unit_group,
 )
 from .splitting import (
@@ -49,7 +49,7 @@ __all__ = [
     "takagi_group_quadratic", "takagi_witness",
     "FiniteGroup", "Subgroup", "cyclic_group", "direct_product",
     "group_from_unit_residues", "subgroup_generated", "transfer",
-    "transfer_homomorphism", "transfer_value", "unit_group",
+    "transfer_homomorphism", "transfer_values", "unit_group",
     "qr_via_splitting", "qr_via_transfer", "spl_set",
     "splitting_cyclotomic", "splitting_quadratic",
     "default_half_system", "gauss_lemma", "gauss_lemma_sign", "jacobi", "kronecker",

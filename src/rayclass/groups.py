@@ -12,8 +12,10 @@ the literal coset formula: pick representatives r_i, solve g*r_i = r_j * u_j
 with u_j in U, and multiply the u_j modulo the commutator subgroup of U.  Each
 subgroup keeps one canonical coset lookup (element -> canonical coset); a
 caller's transversal adds only a position and an inverse rep per coset, so
-u_j = r_j^-1 * (g*r_i) costs O(1) per coset.  `transfer` returns the value
-with its per-coset trace, `transfer_value` the value alone.
+u_j = r_j^-1 * (g*r_i) costs O(1) per coset.  One loop multiplies the u_j for
+a batch of elements: `transfer` runs it for one g and returns the value with
+its per-coset trace, `transfer_values` runs it for a batch and returns the
+values alone, and `transfer_homomorphism` is `transfer_values` over all of G.
 """
 
 from __future__ import annotations
@@ -375,21 +377,27 @@ def coset_decomposition(U: Subgroup) -> CosetDecomposition:
 
 def decomposition_from_reps(U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
     """Caller-chosen reps, one per canonical coset: U's canonical lookup, shared, plus O(index) per coset."""
-    _require_elements(U.parent, reps)
-    canonical = U.cosets.canonical
-    position = [-1] * len(U.cosets.reps)
-    for i, r in enumerate(reps):
-        if position[canonical[r]] >= 0:
-            raise InvalidArgumentError("coset representatives are not disjoint")
-        position[canonical[r]] = i
-    if -1 in position:
+    G = U.parent
+    _require_elements(G, reps)
+    cosets = U.cosets
+    canonical = cosets.canonical
+    cs = [canonical[r] for r in reps]
+    if len(set(cs)) < len(cs):
+        raise InvalidArgumentError("coset representatives are not disjoint")
+    index = len(cosets.reps)
+    if len(cs) < index:
         raise InvalidArgumentError("cosets do not cover the group")
-    inv = U.parent.inverses
+    inv = G.inverses
+    position = [0] * index
+    inverse_reps = [0] * index
+    for i, c in enumerate(cs):
+        position[c] = i
+        inverse_reps[c] = inv[reps[i]]
     return CosetDecomposition(
         reps=tuple(reps),
         canonical=canonical,
         position=tuple(position),
-        inverse_reps=tuple(inv[reps[i]] for i in position),
+        inverse_reps=tuple(inverse_reps),
     )
 
 
@@ -406,35 +414,39 @@ def coset_order(U: Subgroup, x: int) -> int:
     raise InvalidArgumentError(f"no power of {x} up to the index {U.index} lies in the subgroup")
 
 
-def _reduce_mod(x: int, derived: Subgroup) -> int:
-    """Canonical (least-id) representative of the coset x * U'."""
+def _reduce_mod(xs: Iterable[int], derived: Subgroup) -> tuple[int, ...]:
+    """Canonical (least-id) representative of each coset x * U', one per x in xs."""
     if derived.order == 1:
-        return x
-    return min(derived.parent.op(x, d) for d in derived.members)
+        return tuple(xs)
+    t, members = derived.parent.table, derived.members
+    return tuple(min(t[x][d] for d in members) for x in xs)
 
 
-def _transfer_product(
-    G: FiniteGroup, decomposition: CosetDecomposition, g: int, contributions: list | None = None
-) -> int:
-    """prod u_j over the reps r_i, where g*r_i = r_j*u_j; records (i, j, u_j) if asked.
+def _transfer_products(
+    G: FiniteGroup, decomposition: CosetDecomposition, gs: Iterable[int], record: list | None = None
+) -> list[int]:
+    """prod u_j over the reps r_i for each g in gs, where g*r_i = r_j*u_j; records (g*r_i, u_j) if asked.
 
-    x = g*r_i lies in the canonical coset c = canonical[x], whose rep here is r_j,
-    so u_j = r_j^-1 * x; j itself is looked up only for the record.
+    x = g*r_i lies in the canonical coset canonical[x], whose rep here is r_j,
+    so u_j = r_j^-1 * x.  This is the one loop that multiplies the u_j.
     """
     t = G.table
-    row = t[g]
+    reps = decomposition.reps
     canonical = decomposition.canonical
-    position = decomposition.position
     inverse_reps = decomposition.inverse_reps
-    prod = G.identity
-    for i, r in enumerate(decomposition.reps):
-        x = row[r]
-        c = canonical[x]
-        u = t[inverse_reps[c]][x]
-        if contributions is not None:
-            contributions.append((i, position[c], u))
-        prod = t[prod][u]
-    return prod
+    identity = G.identity
+    products = []
+    for g in gs:
+        row = t[g]
+        prod = identity
+        for r in reps:
+            x = row[r]
+            u = t[inverse_reps[canonical[x]]][x]
+            if record is not None:
+                record.append((x, u))
+            prod = t[prod][u]
+        products.append(prod)
+    return products
 
 
 def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> TransferResult:
@@ -443,25 +455,32 @@ def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = Non
     _require_elements(G, (g,))
     if decomposition is None:
         decomposition = U.cosets
-    contributions: list[tuple[int, int, int]] = []
-    prod = _transfer_product(G, decomposition, g, contributions)
-    return TransferResult(value=_reduce_mod(prod, U.derived), contributions=tuple(contributions))
+    record: list[tuple[int, int]] = []
+    products = _transfer_products(G, decomposition, (g,), record)
+    canonical, position = decomposition.canonical, decomposition.position
+    contributions = tuple([(i, position[canonical[x]], u) for i, (x, u) in enumerate(record)])
+    return TransferResult(value=_reduce_mod(products, U.derived)[0], contributions=contributions)
 
 
-def transfer_value(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> int:
-    """transfer(U, g, decomposition).value by the same coset formula, with no trace built."""
+def transfer_values(
+    U: Subgroup, gs: Iterable[int], decomposition: CosetDecomposition | None = None
+) -> tuple[int, ...]:
+    """transfer(U, g, decomposition).value for each g in gs, with no trace built.
+
+    gs is read once; the batch shares one element check, one pass of the product loop
+    and one reduction mod U'.
+    """
     G = U.parent
-    _require_elements(G, (g,))
+    gs = tuple(gs)
+    _require_elements(G, gs)
     if decomposition is None:
         decomposition = U.cosets
-    return _reduce_mod(_transfer_product(G, decomposition, g), U.derived)
+    return _reduce_mod(_transfer_products(G, decomposition, gs), U.derived)
 
 
 def transfer_homomorphism(U: Subgroup) -> TabulatedHom:
     """Tabulate the transfer U.parent -> U (values reduced mod U') for every element."""
-    G, dec, derived = U.parent, U.cosets, U.derived
-    values = tuple(_reduce_mod(_transfer_product(G, dec, g), derived) for g in G.elements)
-    return TabulatedHom(values=values, modulo=derived)
+    return TabulatedHom(values=transfer_values(U, U.parent.elements), modulo=U.derived)
 
 
 def kernel_of(hom: TabulatedHom) -> Subgroup:
@@ -475,9 +494,12 @@ def kernel_of(hom: TabulatedHom) -> Subgroup:
     if len(values) != G.order:
         raise InvalidArgumentError(f"map has {len(values)} values for a group of order {G.order}")
     _require_elements(G, values)
+    t = G.table
     for s in require_subgroup(G.elements, G.identity, G.op):
+        v = values[s]
+        products = _reduce_mod([t[x][v] for x in values], derived)
         for a in G.elements:
-            if _reduce_mod(G.op(values[a], values[s]), derived) != values[G.op(a, s)]:
+            if products[a] != values[t[a][s]]:
                 raise InvalidHomomorphismError(f"map is not a homomorphism at ({a}, {s})")
     # The identity coset of U' is U' itself.
     members = tuple(sorted(g for g in G.elements if values[g] in derived.member_set))

@@ -200,23 +200,35 @@ def _random_abelian_products(count: int, rng: random.Random) -> list[FiniteGroup
 def _all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Full subgroup lattice of an abelian G by closing the cyclic subgroups under joins.
 
-    In an abelian group the join of two subgroups is their product set, so no
-    closure iteration is needed.
+    Each cyclic subgroup is the powers of one element.  In an abelian group the
+    join of B and C is the product set B*C, the union of the cosets B*c for c
+    in C, so each coset is added once, when its first c turns up.
     """
-    cyclic = {groups.subgroup_generated(G, {g}).members for g in G.elements}
+    t, e = G.table, G.identity
+    cyclic = set()
+    for g in G.elements:
+        powers, x = [e], g
+        while x != e:
+            powers.append(x)
+            x = t[x][g]
+        cyclic.add(frozenset(powers))
     subs = set(cyclic)
     frontier = list(subs)
-    t = G.table
     while frontier:
         base = frontier.pop()
         for c in cyclic:
-            if set(c) <= set(base):
+            if c <= base:
                 continue
-            joined = tuple(sorted({t[a][b] for a in base for b in c}))
+            joined = set(base)
+            for b in c:
+                if b not in joined:
+                    joined.update([t[a][b] for a in base])
+            joined = frozenset(joined)
             if joined not in subs:
                 subs.add(joined)
                 frontier.append(joined)
-    return [Subgroup(parent=G, members=m) for m in sorted(subs, key=lambda m: (len(m), m))]
+    lattice = sorted((tuple(sorted(m)) for m in subs), key=lambda m: (len(m), m))
+    return [Subgroup(parent=G, members=m) for m in lattice]
 
 
 def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int = 256) -> SuiteResult:
@@ -253,17 +265,19 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                     break
             # Rep independence over random transversals.
             sample = (
-                list(G.elements)
+                tuple(G.elements)
                 if G.order <= 12
-                else sorted(rng.sample(range(G.order), 6))
+                else tuple(sorted(rng.sample(range(G.order), 6)))
             )
-            table, members, choice = G.table, U.members, rng.choice
+            expected = tuple(hom.values[g] for g in sample)
+            rep_rows, members, choice = [G.table[r] for r in U.cosets.reps], U.members, rng.choice
             for _ in range(50):
                 # choice(members) draws what members[randrange(len(members))] would.
-                reps = tuple(table[r][choice(members)] for r in U.cosets.reps)
+                reps = tuple([row[choice(members)] for row in rep_rows])
                 dec = groups.decomposition_from_reps(U, reps)
-                g = next((g for g in sample if groups.transfer_value(U, g, dec) != hom.values[g]), None)
-                if g is not None:
+                values = groups.transfer_values(U, sample, dec)
+                if values != expected:
+                    g = next(g for g, v, w in zip(sample, values, expected) if v != w)
                     bad.append(f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps")
                     break  # one failure per subgroup; later draws would repeat it
             # Homomorphism property, on generators, for modest orders.

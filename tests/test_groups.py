@@ -2,11 +2,13 @@ import gc
 import random
 import re
 import weakref
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from math import log2
 
 import pytest
 
+from rayclass import groups, verify
 from rayclass.errors import InvalidArgumentError, InvalidHomomorphismError, TooLargeError
 from rayclass.groups import (
     FiniteGroup,
@@ -24,7 +26,7 @@ from rayclass.groups import (
     subgroup_generated,
     transfer,
     transfer_homomorphism,
-    transfer_value,
+    transfer_values,
     TabulatedHom,
     unit_group,
 )
@@ -95,6 +97,14 @@ def all_subgroups(G):
                 subs.add(joined)
                 frontier.append(joined)
     return [Subgroup(parent=G, members=m) for m in sorted(subs)]
+
+
+def test_transfer_props_lattice_is_every_subgroup():
+    # The suite's own lattice joins whole cosets; it must list every subgroup, ordered by size.
+    for G in closure_corpus():
+        if G.is_abelian:
+            expected = sorted((U.members for U in all_subgroups(G)), key=lambda m: (len(m), m))
+            assert [U.members for U in verify._all_subgroups(G)] == expected, G.order
 
 
 def shuffled_transversals():
@@ -250,6 +260,11 @@ def test_decomposition_from_reps_validates():
         decomposition_from_reps(U, (0, 0, 1))
     with pytest.raises(InvalidArgumentError, match="do not cover"):
         decomposition_from_reps(U, (0, 1))
+    # A repeat outranks a missing coset, and a fourth rep must repeat a coset.
+    with pytest.raises(InvalidArgumentError, match="not disjoint"):
+        decomposition_from_reps(U, (0, 1, 2, 3))
+    with pytest.raises(InvalidArgumentError, match="not disjoint"):
+        decomposition_from_reps(U, (0, 5))
     # {1, 2} is not a subgroup: the cosets of 1 and 4 share 1 = 4 * 2.
     not_closed = Subgroup(parent=G, members=(G.id_of(1), G.id_of(2)))
     with pytest.raises(InvalidArgumentError, match="not disjoint"):
@@ -262,10 +277,11 @@ def test_decomposition_from_reps_validates():
     [
         lambda U, x: decomposition_from_reps(U, (x, 1, 2)),
         lambda U, x: transfer(U, x),
+        lambda U, x: transfer_values(U, (1, x, 7)),
         lambda U, x: coset_order(U, x),
         lambda U, x: Subgroup(parent=U.parent, members=(0, x)),
     ],
-    ids=["decomposition_from_reps", "transfer", "coset_order", "Subgroup"],
+    ids=["decomposition_from_reps", "transfer", "transfer_values", "coset_order", "Subgroup"],
 )
 def test_element_ids_outside_the_group_are_rejected(call, bad):
     # In (Z/7)^x a negative id would index from the end: -1 aliases id 5, the class of 6.
@@ -301,11 +317,57 @@ def test_caller_transversal_relabels_the_canonical_lookup():
                         assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
 
 
-def test_transfer_value_is_the_traced_transfer_value():
+def test_transfer_values_are_the_traced_transfer_values():
     for U, _, dec in shuffled_transversals():
-        for g in U.parent.elements:
-            assert transfer_value(U, g, dec) == transfer(U, g, dec).value
-            assert transfer_value(U, g) == transfer(U, g).value
+        elements = U.parent.elements
+        assert transfer_values(U, elements, dec) == tuple(transfer(U, g, dec).value for g in elements)
+        assert transfer_values(U, elements) == tuple(transfer(U, g).value for g in elements)
+
+
+def test_transfer_values_match_transfer_on_every_subgroup():
+    # Every subgroup, not only the cyclic ones: U = S3 has U' = A3, so the batch is reduced mod U'.
+    rng = random.Random(15)
+    S3 = symmetric_group_3()
+    assert derived_subgroup(Subgroup(parent=S3, members=tuple(S3.elements))).order == 3
+    for G in (S3, direct_product(S3, cyclic_group(2))):
+        elements = tuple(G.elements)
+        for U in all_subgroups(G):
+            for _ in range(3):
+                reps = tuple(G.op(r, rng.choice(U.members)) for r in U.cosets.reps)
+                for dec in (None, decomposition_from_reps(U, reps)):
+                    expected = tuple(transfer(U, g, dec).value for g in elements)
+                    assert transfer_values(U, elements, dec) == expected
+                    assert transfer_values(U, (g for g in elements), dec) == expected
+                    assert transfer_values(U, elements[::-1], dec) == expected[::-1]
+
+
+def test_one_loop_serves_every_transfer_path(monkeypatch):
+    # A fault in the product loop must reach the traced value, the batch and the table alike;
+    # a second loop that multiplies the u_j would leave one of them unchanged.
+    products = groups._transfer_products
+
+    def skip_last_coset(G, decomposition, gs, record=None):
+        return products(G, replace(decomposition, reps=decomposition.reps[:-1]), gs, record)
+
+    S3 = symmetric_group_3()
+    units = group_from_unit_residues(7)
+    cases = [subgroup_generated(units, {units.id_of(6)}), Subgroup(parent=S3, members=tuple(S3.elements))]
+    cases += [U for U in all_subgroups(S3) if U.order == 2]
+    for U in cases:
+        G = U.parent
+        right = transfer_homomorphism(U).values
+        for g in G.elements:
+            result = transfer(U, g)
+            prod = G.identity
+            for _, _, u in result.contributions:
+                prod = G.op(prod, u)
+            assert result.value == min(G.op(prod, d) for d in U.derived.members)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_transfer_products", skip_last_coset)
+            wrong = transfer_homomorphism(U).values
+            assert wrong != right
+            assert transfer_values(U, G.elements) == wrong
+            assert tuple(transfer(U, g).value for g in G.elements) == wrong
 
 
 def test_caller_transversal_shares_the_canonical_lookup():

@@ -195,12 +195,12 @@ def test_indices_catches_a_wrong_ramification_index(monkeypatch):
 def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
     passing = verify.transfer_props_suite(max_order=8)
     assert passing.passed and passing.checks == 48
-    product = groups._transfer_product
+    products = groups._transfer_products
 
-    def skip_last_coset(G, decomposition, g, contributions=None):
-        return product(G, replace(decomposition, reps=decomposition.reps[:-1]), g, contributions)
+    def skip_last_coset(G, decomposition, gs, record=None):
+        return products(G, replace(decomposition, reps=decomposition.reps[:-1]), gs, record)
 
-    monkeypatch.setattr(groups, "_transfer_product", skip_last_coset)
+    monkeypatch.setattr(groups, "_transfer_products", skip_last_coset)
     failing = verify.transfer_props_suite(max_order=8)
     # (Z/3)^x and (Z/4)^x come first, then (Z/5)^x; U = G has the one coset that is skipped.
     assert failing.failures[:3] == [
@@ -213,14 +213,16 @@ def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
 def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
     passing = verify.transfer_props_suite(max_order=8)
     assert passing.passed
-    value = groups.transfer_value
+    values = groups.transfer_values
 
-    def canonical_inverse_reps(U, g, decomposition=None):
-        # u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.
-        stale = replace(decomposition, inverse_reps=U.cosets.inverse_reps)
-        return value(U, g, stale)
+    def canonical_inverse_reps(U, gs, decomposition=None):
+        # u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.  The
+        # homomorphism's own call passes no decomposition, and its canonical reps stay right.
+        if decomposition is not None:
+            decomposition = replace(decomposition, inverse_reps=U.cosets.inverse_reps)
+        return values(U, gs, decomposition)
 
-    monkeypatch.setattr(groups, "transfer_value", canonical_inverse_reps)
+    monkeypatch.setattr(groups, "transfer_values", canonical_inverse_reps)
     failing = verify.transfer_props_suite(max_order=8)
     # For U = G = (Z/3)^x the one rep is a random member of U, so the identity's value moves.
     # Each rep-dependent subgroup fails once: (Z/3)^x, (Z/4)^x, (Z/5)^x, (Z/6)^x, (Z/7)^x, (Z/8)^x.
