@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit: residue symbols, transfer maps, ray class groups of Q,
 and prime splitting laws, with exhaustive desk-scale verification drivers."""
 
-from .arith import euler_phi, factorize, is_prime, mod_pow, mult_order
+from .arith import euler_phi, factorize, is_prime, mult_order
 from .classfield import (
     FundamentalDiscriminant,
     Modulus,
@@ -43,7 +43,7 @@ from .symbols import (
 )
 
 __all__ = [
-    "euler_phi", "factorize", "is_prime", "mod_pow", "mult_order",
+    "euler_phi", "factorize", "is_prime", "mult_order",
     "FundamentalDiscriminant", "Modulus", "conductor_quadratic",
     "ray_class_group", "squares_group", "takagi_group_cyclotomic",
     "takagi_group_quadratic", "takagi_witness",

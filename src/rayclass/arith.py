@@ -7,7 +7,6 @@ larger inputs raise TooLargeError rather than get a probable answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InvalidArgumentError, NotCoprimeError, TooLargeError
@@ -18,15 +17,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
 
 _TRIAL_BOUND = 10**6
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m for m >= 2 and exp >= 0."""
-    if m < 2:
-        raise InvalidArgumentError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise InvalidArgumentError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, m)
 
 
 def is_prime(n: int) -> bool:
@@ -65,41 +55,6 @@ def require_odd_prime(p: int) -> None:
         raise InvalidArgumentError(f"{p} is not an odd prime")
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Sorted (prime, exponent) pairs; the empty tuple factors 1."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise InvalidArgumentError("primes must be strictly increasing")
-            if e < 1:
-                raise InvalidArgumentError("exponents must be >= 1")
-            if not is_prime(p):
-                raise InvalidArgumentError(f"{p} is not prime")
-            last = p
-
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle-finding variant)."""
     if n % 2 == 0:
@@ -129,8 +84,8 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def factorize(n: int) -> PrimeFactorization:
-    """Complete prime factorization of n >= 1."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of n >= 1: (prime, exponent) pairs by ascending prime; () for 1."""
     if n < 1:
         raise InvalidArgumentError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
@@ -149,7 +104,7 @@ def factorize(n: int) -> PrimeFactorization:
         d += increments[i]
         i = (i + 1) % 8
     _factor_into(n, out)
-    return PrimeFactorization(tuple(sorted(out.items())))
+    return tuple(sorted(out.items()))
 
 
 def euler_phi(n: int) -> int:

@@ -103,39 +103,12 @@ class RayClassGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def canonical_label(self, residue: int) -> int:
+    def class_of(self, residue: int) -> int:
+        """The label of the residue's ray class; NotCoprimeError unless gcd(residue, m0) = 1."""
         m0 = self.modulus.m0
         if gcd(residue, m0) != 1:
             raise NotCoprimeError(f"{residue} is not coprime to {m0}")
         return self.modulus.label(residue)
-
-    def class_of(self, residue: int) -> "RayClass":
-        return RayClass(parent=self, label=self.canonical_label(residue))
-
-
-@dataclass(frozen=True)
-class RayClass:
-    parent: RayClassGroup
-    label: int
-
-    @property
-    def order(self) -> int:
-        k, x = 1, self
-        while not x.is_identity:
-            k, x = k + 1, x * self
-        return k
-
-    def __mul__(self, other: "RayClass") -> "RayClass":
-        if other.parent is not self.parent:
-            raise InvalidArgumentError("classes belong to different ray class groups")
-        return self.parent.class_of(self.label * other.label)
-
-    def inverse(self) -> "RayClass":
-        return self.parent.class_of(pow(self.label, -1, self.parent.modulus.m0))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.label == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +118,8 @@ class IdealGroupH:
     parent: RayClassGroup
     labels: frozenset[int]
 
-    def contains(self, cls: RayClass) -> bool:
-        return cls.label in self.labels
+    def contains(self, label: int) -> bool:
+        return label in self.labels
 
     def validate(self) -> None:
         """InvalidArgumentError unless the labels are ray classes that form a subgroup."""
@@ -169,14 +142,14 @@ def ray_class_group(m: Modulus) -> RayClassGroup:
     return RayClassGroup(modulus=m, labels=tuple(r for r in range(1, top + 1) if gcd(r, m0) == 1))
 
 
-def ideal_class(G: RayClassGroup, num: int, den: int = 1) -> RayClass:
-    """Class of the fractional ideal (num/den); signs are irrelevant to ideals."""
+def ideal_class(G: RayClassGroup, num: int, den: int = 1) -> int:
+    """Label of the class of the fractional ideal (num/den); signs are irrelevant to ideals."""
     if num == 0 or den <= 0:
         raise InvalidArgumentError("need a nonzero numerator and positive denominator")
     m0 = G.modulus.m0
     if gcd(abs(num) * den, m0) != 1:
         raise NotCoprimeError(f"{num}/{den} is not coprime to {m0}")
-    return G.class_of(abs(num)) * G.class_of(den).inverse()
+    return G.class_of(abs(num) * pow(den, -1, m0))
 
 
 def takagi_group_quadratic(d: FundamentalDiscriminant | int) -> IdealGroupH:
@@ -217,9 +190,6 @@ class FirstInequalityResult:
     holds: bool      # index <= degree
     divides: bool    # the post-CFT refinement
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def first_inequality_check(H: IdealGroupH, degree: int) -> FirstInequalityResult:
     """Check (D_m : H) <= degree, and whether the index divides the degree."""
@@ -231,8 +201,8 @@ def first_inequality_check(H: IdealGroupH, degree: int) -> FirstInequalityResult
     )
 
 
-def artin_symbol_cyclotomic(p: int, m: int) -> RayClass:
-    """Frobenius of p in Q(zeta_m)/Q as the class of p mod m*oo."""
+def artin_symbol_cyclotomic(p: int, m: int) -> int:
+    """Frobenius of p in Q(zeta_m)/Q as the label of p's class mod m*oo."""
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
     if m < 3:
@@ -277,7 +247,7 @@ def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) ->
     for p in primes_up_to(bound):
         if abs(d.d) % p == 0:
             continue
-        label = G.class_of(p).label
+        label = G.class_of(p)
         chi = kronecker(d.d, p)
         if label in values:
             if values[label] != chi and counterexample is None:

@@ -164,6 +164,11 @@ def cmd_takagi_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Below 5 some suite makes no check at all (qr-splitting needs the primes 3 and 5).
+    if args.max_prime is not None and args.max_prime < 5:
+        raise _usage(f"--max-prime must be at least 5, got {args.max_prime}")
+    if args.threads is not None and args.threads < 1:
+        raise _usage(f"--threads must be at least 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
     results = verify.run_suite(args.suite, max_prime=args.max_prime, threads=threads)
     all_passed = all(r.passed for r in results)
@@ -263,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-prime",
         type=int,
-        help="bound the sweeps: qr-splitting p, q <= MAX_PRIME; qr-transfer p <= min(101, MAX_PRIME), "
-        "q <= MAX_PRIME; gauss-lemma p <= min(211, MAX_PRIME); euler-formulation, takagi, conductor "
-        "|d| <= min(101, MAX_PRIME); indices q <= MAX_PRIME; transfer-props ignores it",
+        help="bound the sweeps, at least 5: qr-splitting p, q <= MAX_PRIME; "
+        "qr-transfer p <= min(101, MAX_PRIME), q <= MAX_PRIME; gauss-lemma p <= min(211, MAX_PRIME); "
+        "euler-formulation, takagi, conductor |d| <= min(101, MAX_PRIME); indices q <= MAX_PRIME; "
+        "transfer-props ignores it",
     )
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="worker threads, at least 1 (default: the CPU count)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -75,22 +75,10 @@ class FiniteGroup:
             k >>= 1
         return result
 
-    def element_order(self, a: int) -> int:
-        x = a
-        for k in range(1, self.order + 1):
-            if x == self.identity:
-                return k
-            x = self.table[x][a]
-        raise InvalidArgumentError(f"element {a} has no power equal to the identity")
-
     @cached_property
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
-
-    @cached_property
-    def is_cyclic(self) -> bool:
-        return any(self.element_order(a) == self.order for a in self.elements)
 
     def label_of(self, a: int) -> int:
         return self.labels[a] if self.labels is not None else a
@@ -106,15 +94,13 @@ class FiniteGroup:
         except KeyError:
             raise InvalidArgumentError(f"no element is labeled {label}") from None
 
-    def check_associative(self) -> bool:
-        """Exhaustive associativity check; quadratic-times-order, for tests only."""
-        t = self.table
-        return all(
-            t[t[a][b]][c] == t[a][t[b][c]]
-            for a in self.elements
-            for b in self.elements
-            for c in self.elements
-        )
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Generators of the whole group, from one `require_subgroup` walk over its elements.
+
+        Cached because `kernel_of` reads them for every map it checks on this group.
+        """
+        return tuple(require_subgroup(self.elements, self.identity, self.op))
 
 
 @dataclass(frozen=True)
@@ -495,7 +481,7 @@ def kernel_of(hom: TabulatedHom) -> Subgroup:
         raise InvalidArgumentError(f"map has {len(values)} values for a group of order {G.order}")
     _require_elements(G, values)
     t = G.table
-    for s in require_subgroup(G.elements, G.identity, G.op):
+    for s in G.generators:
         v = values[s]
         products = _reduce_mod([t[x][v] for x in values], derived)
         for a in G.elements:

@@ -56,18 +56,10 @@ class SplittingType:
 class Quadratic:
     d: FundamentalDiscriminant
 
-    @property
-    def degree(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
 class Cyclotomic:
     m: int
-
-    @property
-    def degree(self) -> int:
-        return euler_phi(self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +68,6 @@ class CyclotomicSubfield:
 
     m: int
     subgroup: Subgroup
-
-    @property
-    def degree(self) -> int:
-        return self.subgroup.index
 
 
 FieldDescriptor = Quadratic | Cyclotomic | CyclotomicSubfield

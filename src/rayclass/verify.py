@@ -79,10 +79,11 @@ def qr_splitting_suite(max_prime: int = 541, threads: int = 1) -> SuiteResult:
     def run(p: int) -> tuple[int, list[str]]:
         bad = []
         sq = classfield.squares_group(p)
+        p_star = symbols.pstar(p)
         for q in ps:
             if q == p:
                 continue
-            lhs = symbols.kronecker(symbols.pstar(p), q)
+            lhs = symbols.kronecker(p_star, q)
             rhs = 1 if splitting.splits_completely_in_class_field(q, sq) else -1
             if lhs != rhs:
                 bad.append(f"(p={p}, q={q}): (p*/q)={lhs} but splitting gives {rhs}")

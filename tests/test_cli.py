@@ -195,6 +195,32 @@ def test_verify_thread_count_invariance(capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-prime", "4"), ("--max-prime", "0"), ("--max-prime", "-5"),
+     ("--threads", "0"), ("--threads", "-3")],
+)
+def test_verify_bound_below_its_least_exits_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "qr-splitting", flag, value, "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: {flag} must be at least" in err
+
+
+def test_verify_least_bounds_make_checks_in_every_suite(capsys):
+    # transfer-props ignores --max-prime; every other suite makes a check at 5.
+    for suite in ("qr-splitting", "qr-transfer", "gauss-lemma", "euler-formulation",
+                  "takagi", "indices", "conductor"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-prime", "5",
+                           "--threads", "1", "--json")
+        assert code == 0, suite
+        record = json.loads(out)
+        assert record["inputs"] == {"suite": suite, "max_prime": 5, "threads": 1}
+        assert record["result"]["suites"][0]["checks"] > 0, suite
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nosuch"])

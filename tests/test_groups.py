@@ -32,6 +32,26 @@ from rayclass.groups import (
 )
 
 
+def element_order(G, a):
+    """Least k >= 1 with a^k the identity; InvalidArgumentError if no k <= |G| works."""
+    x = a
+    for k in range(1, G.order + 1):
+        if x == G.identity:
+            return k
+        x = G.table[x][a]
+    raise InvalidArgumentError(f"element {a} has no power equal to the identity")
+
+
+def is_cyclic(G):
+    return any(element_order(G, a) == G.order for a in G.elements)
+
+
+def is_associative(G):
+    """Exhaustive associativity check, cubic in the order."""
+    t = G.table
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in G.elements for b in G.elements for c in G.elements)
+
+
 def symmetric_group_3():
     """S3 as a table group over the 6 permutations of (0,1,2)."""
     elems = sorted(permutations(range(3)))
@@ -173,7 +193,7 @@ def test_unit_residue_groups():
     G = group_from_unit_residues(3)
     assert G.order == 2 and G.labels == (1, 2)
     G = group_from_unit_residues(7)
-    assert G.is_cyclic and G.order == 6
+    assert is_cyclic(G) and G.order == 6
     powers = []
     x = G.id_of(3)
     y = x
@@ -192,7 +212,7 @@ def test_unit_residue_groups():
 
 def test_group_table_is_valid():
     for G in (group_from_unit_residues(12), cyclic_group(9), symmetric_group_3()):
-        assert G.check_associative()
+        assert is_associative(G)
         assert all(G.op(G.identity, a) == a == G.op(a, G.identity) for a in G.elements)
         assert all(G.op(a, G.inv(a)) == G.identity for a in G.elements)
 
@@ -218,9 +238,9 @@ def test_direct_product():
     assert V4.order == 4
     assert all(V4.op(a, a) == V4.identity for a in V4.elements)
     G = direct_product(cyclic_group(2), cyclic_group(3))
-    assert G.is_cyclic and G.order == 6
+    assert is_cyclic(G) and G.order == 6
     G1 = direct_product(cyclic_group(5), cyclic_group(1))
-    assert G1.is_cyclic and G1.order == 5
+    assert is_cyclic(G1) and G1.order == 5
 
 
 def test_subgroup_generated():
@@ -484,9 +504,9 @@ def test_transfer_nonabelian_reduces_mod_derived():
 def test_power_loops_stop_on_malformed_table():
     # 1*1 = 1, so no power of 1 reaches the identity 0 or the subgroup {0}.
     G = FiniteGroup(table=((0, 1), (1, 1)), identity=0)
-    assert G.element_order(0) == 1
+    assert element_order(G, 0) == 1
     with pytest.raises(InvalidArgumentError):
-        G.element_order(1)
+        element_order(G, 1)
     U = Subgroup(parent=G, members=(0,))
     assert coset_order(U, 0) == 1
     with pytest.raises(InvalidArgumentError):
@@ -521,6 +541,22 @@ def test_kernel_of_rejects_values_outside_the_group(values, message):
     hom = TabulatedHom(values=values, modulo=subgroup_generated(G, set()))
     with pytest.raises(InvalidArgumentError, match=message):
         kernel_of(hom)
+
+
+def test_kernel_of_walks_each_group_once(monkeypatch):
+    G = group_from_unit_residues(21)
+    walk = groups.require_subgroup
+    whole_group_walks = []
+
+    def counted(members, identity, op):
+        whole_group_walks.append(members is G.elements)
+        return walk(members, identity, op)
+
+    monkeypatch.setattr(groups, "require_subgroup", counted)
+    for r in (2, 5, 20):
+        kernel_of(transfer_homomorphism(subgroup_generated(G, {G.id_of(r)})))
+    assert sum(whole_group_walks) == 1
+    assert G.generators == tuple(walk(G.elements, G.identity, G.op))
 
 
 def test_kernel_of_identity_and_constant_maps():
