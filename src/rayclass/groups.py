@@ -24,7 +24,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from itertools import product as iter_product
 
 from .arith import euler_phi
 from .errors import InvalidArgumentError, InvalidHomomorphismError, TooLargeError
@@ -250,10 +249,10 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) gets id a*|G2| + b."""
     n1, n2 = G1.order, G2.order
     _check_bound(n1 * n2)
-    table = tuple(
-        tuple(G1.table[a1][b1] * n2 + G2.table[a2][b2] for b1, b2 in iter_product(range(n1), range(n2)))
-        for a1, a2 in iter_product(range(n1), range(n2))
-    )
+    rows1 = [[G1.table[a1][b1] * n2 for b1 in range(n1)] for a1 in range(n1)]
+    rows2 = [[G2.table[a2][b2] for b2 in range(n2)] for a2 in range(n2)]
+    # Row (a1, a2) is c1 + c2 over (b1, b2): c1 from row a1 of G1 times n2, c2 from row a2 of G2.
+    table = tuple(tuple([c1 + c2 for c1 in row1 for c2 in row2]) for row1 in rows1 for row2 in rows2)
     return FiniteGroup(table=table, identity=G1.identity * n2 + G2.identity)
 
 

@@ -119,12 +119,27 @@ def all_subgroups(G):
     return [Subgroup(parent=G, members=m) for m in sorted(subs)]
 
 
+def product_of_cyclic(*orders):
+    G = cyclic_group(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic_group(n))
+    return G
+
+
+# Non-cyclic p-groups, where joins of cyclic p-power subgroups reach subgroups no two of them span.
+P_GROUP_SUBGROUP_COUNTS = {(2, 2, 2, 2): 67, (4, 4): 15, (2, 2, 8): 38, (3, 9): 10, (2, 4, 8): 81}
+
+
 def test_transfer_props_lattice_is_every_subgroup():
-    # The suite's own lattice joins whole cosets; it must list every subgroup, ordered by size.
-    for G in closure_corpus():
-        if G.is_abelian:
-            expected = sorted((U.members for U in all_subgroups(G)), key=lambda m: (len(m), m))
-            assert [U.members for U in verify._all_subgroups(G)] == expected, G.order
+    # The suite's own lattice joins cyclic subgroups of prime-power order by whole cosets;
+    # it must list every subgroup, ordered by size.
+    corpus = [G for G in closure_corpus() if G.is_abelian]
+    corpus += [product_of_cyclic(*orders) for orders in P_GROUP_SUBGROUP_COUNTS]
+    for G in corpus:
+        expected = sorted((U.members for U in all_subgroups(G)), key=lambda m: (len(m), m))
+        assert [U.members for U in verify._all_subgroups(G)] == expected, G.order
+    for orders, count in P_GROUP_SUBGROUP_COUNTS.items():
+        assert len(verify._all_subgroups(product_of_cyclic(*orders))) == count, orders
 
 
 def shuffled_transversals():
@@ -241,6 +256,22 @@ def test_direct_product():
     assert is_cyclic(G) and G.order == 6
     G1 = direct_product(cyclic_group(5), cyclic_group(1))
     assert is_cyclic(G1) and G1.order == 5
+
+
+def test_direct_product_is_componentwise():
+    S3 = symmetric_group_3()
+    for G1, G2 in [
+        (cyclic_group(4), cyclic_group(6)),
+        (S3, cyclic_group(2)),
+        (cyclic_group(3), S3),
+        (unit_group(15), group_from_unit_residues(8)),
+        (cyclic_group(1), cyclic_group(5)),
+    ]:
+        n2 = G2.order
+        G = direct_product(G1, G2)
+        assert G.order == G1.order * n2 and G.identity == G1.identity * n2 + G2.identity
+        for (a1, a2), (b1, b2) in product(product(G1.elements, G2.elements), repeat=2):
+            assert G.op(a1 * n2 + a2, b1 * n2 + b2) == G1.op(a1, b1) * n2 + G2.op(a2, b2)
 
 
 def test_subgroup_generated():

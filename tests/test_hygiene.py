@@ -4,10 +4,12 @@ Every import sits at the top of its module, and every name a module imports
 is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, and
 `rayclass.__all__` lists exactly the names `__init__.py` re-exports.  Only
-the transfer-props corpus builds the stored (Z/m)^x table.
+the transfer-props corpus builds the stored (Z/m)^x table.  No module reads a
+private attribute of `random.Random`.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,19 @@ def test_only_the_corpus_builds_the_stored_unit_group_table():
         and "group_from_unit_residues" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
     assert calls == []
+
+
+# Seeded draws go through Random's public methods; its private helpers may change between releases.
+RANDOM_PRIVATE = {name for name in dir(random.Random) if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attribute_of_random_is_read(path):
+    assert "_randbelow" in RANDOM_PRIVATE
+    found = sorted(
+        f"{path.name}:{node.lineno} {name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (getattr(node, "attr", None), getattr(node, "value", None))
+        if isinstance(name, str) and name in RANDOM_PRIVATE
+    )
+    assert found == []

@@ -213,16 +213,14 @@ def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
 def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
     passing = verify.transfer_props_suite(max_order=8)
     assert passing.passed
-    values = groups.transfer_values
+    decompose = groups.decomposition_from_reps
 
-    def canonical_inverse_reps(U, gs, decomposition=None):
+    def canonical_inverse_reps(U, reps):
         # u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.  The
-        # homomorphism's own call passes no decomposition, and its canonical reps stay right.
-        if decomposition is not None:
-            decomposition = replace(decomposition, inverse_reps=U.cosets.inverse_reps)
-        return values(U, gs, decomposition)
+        # homomorphism reads U.cosets, whose canonical reps stay right.
+        return replace(decompose(U, reps), inverse_reps=U.cosets.inverse_reps)
 
-    monkeypatch.setattr(groups, "transfer_values", canonical_inverse_reps)
+    monkeypatch.setattr(groups, "decomposition_from_reps", canonical_inverse_reps)
     failing = verify.transfer_props_suite(max_order=8)
     # For U = G = (Z/3)^x the one rep is a random member of U, so the identity's value moves.
     # Each rep-dependent subgroup fails once: (Z/3)^x, (Z/4)^x, (Z/5)^x, (Z/6)^x, (Z/7)^x, (Z/8)^x.
@@ -239,3 +237,60 @@ def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
         "|G|=4, U=(0, 2): transfer(0) depends on reps",
     ]
     assert failing.checks == 98  # one per failing subgroup, not one per draw
+
+
+def replayed_transversals(seed, max_order):
+    """(U.members, reps) for each distinct transversal transfer-props draws, in order, by
+    rng.choice, and the number of draws.
+
+    Rebuilds the corpus and each group's stream as the suite does, skipping the subgroups
+    without a cyclic quotient, which draw nothing.
+    """
+    corpus = [groups.group_from_unit_residues(m) for m in range(3, 121)]
+    corpus += [groups.cyclic_group(n) for n in range(1, 65)]
+    corpus += verify._random_abelian_products(50, random.Random(seed))
+    out, draws = [], 0
+    for i, G in enumerate(G for G in corpus if G.order <= max_order):
+        rng = random.Random(seed + 7919 * i)
+        for U in verify._all_subgroups(G):
+            if not any(groups.coset_order(U, x) == U.index for x in G.elements):
+                continue
+            if G.order > 12:
+                rng.sample(range(G.order), 6)
+            seen = set()
+            for _ in range(50):
+                draws += 1
+                reps = tuple(G.op(r, rng.choice(U.members)) for r in U.cosets.reps)
+                if reps not in seen:
+                    seen.add(reps)
+                    out.append((U.members, reps))
+    return out, draws
+
+
+def test_transfer_props_evaluates_each_distinct_choice_transversal_once(monkeypatch):
+    # The suite replays rng.choice through getrandbits and skips repeats; it must evaluate
+    # exactly the distinct transversals that rng.choice itself draws, in the same order.
+    decompose = groups.decomposition_from_reps
+    seen = []
+
+    def recorded(U, reps):
+        seen.append((U.members, reps))
+        return decompose(U, reps)
+
+    monkeypatch.setattr(groups, "decomposition_from_reps", recorded)
+    assert verify.transfer_props_suite(max_order=16).passed
+    expected, draws = replayed_transversals(20260824, 16)
+    assert draws > len(expected)  # some draws repeat, so the skip is exercised
+    assert seen == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260824, 2**40 + 3])
+def test_choice_replay_matches_random_choice(seed):
+    # If a Python release changes how Random.choice draws, this fails instead of the
+    # suite silently testing other transversals.
+    for n in range(1, 41):
+        replay, reference = random.Random(seed + n), random.Random(seed + n)
+        for count in (1, 7):
+            picks = verify._choice_indices(replay, n, count)
+            assert picks == [reference.choice(range(n)) for _ in range(count)], (n, count)
+            assert replay.getstate() == reference.getstate(), (n, count)
