@@ -7,15 +7,16 @@ r*s mod m on read and each inverse by `pow`, so it costs O(m) to set up and
 serves the CLI and `splitting._transfer_setup`; `group_from_unit_residues`
 stores all phi(m)^2 products, which only the transfer-props corpus uses: it
 reads each small table so often that computing the products slowed the suite
-by a fifth.  The transfer of g from G to a subgroup U is computed by
-the literal coset formula: pick representatives r_i, solve g*r_i = r_j * u_j
-with u_j in U, and multiply the u_j modulo the commutator subgroup of U.  Each
-subgroup keeps one canonical coset lookup (element -> canonical coset); a
-caller's transversal adds only a position and an inverse rep per coset, so
-u_j = r_j^-1 * (g*r_i) costs O(1) per coset.  One loop multiplies the u_j for
-a batch of elements: `transfer` runs it for one g and returns the value with
-its per-coset trace, `transfer_values` runs it for a batch and returns the
-values alone, and `transfer_homomorphism` is `transfer_values` over all of G.
+by a fifth, and builds each stored table only when it checks that group.  The
+transfer of g from G to a subgroup U is computed by the literal coset formula:
+pick representatives r_i, solve g*r_i = r_j * u_j with u_j in U, and multiply
+the u_j modulo the commutator subgroup of U.  Each subgroup keeps one
+canonical coset lookup (element -> canonical coset); a caller's transversal
+adds only a position and an inverse rep per coset, so u_j = r_j^-1 * (g*r_i)
+costs O(1) per coset.  One loop multiplies the u_j for a batch of elements:
+`transfer` runs it for one g and returns the value with its per-coset trace,
+`transfer_values` runs it for a batch and returns the values alone, and
+`transfer_homomorphism` is `transfer_values` over all of G.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ assert on.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd
+from functools import partial
+from math import gcd, prod
 
 from . import classfield, groups, splitting, symbols
 from .arith import euler_phi, factorize, primes_up_to
@@ -54,7 +55,9 @@ def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
     """Fold each item's `run(item) -> (checks, failures)` into `result`, in item order.
 
     `run` is mapped over the items on a thread pool when threads > 1; the
-    outcome does not depend on the thread count.
+    outcome does not depend on the thread count.  The pool submits every item
+    at once, so the items are all alive from the start: an item must be cheap
+    to hold, and what is costly to hold belongs inside `run`.
     """
     if threads <= 1:
         outcomes = map(run, items)
@@ -184,21 +187,38 @@ def gauss_lemma_suite(
     return result
 
 
-def _random_abelian_products(count: int, rng: random.Random) -> list[FiniteGroup]:
+def _abelian_product(orders: tuple[int, ...]) -> FiniteGroup:
+    """Z/n1 x Z/n2 x ... as one stored table, the factors joined left to right."""
+    G = groups.cyclic_group(orders[0])
+    for n in orders[1:]:
+        G = groups.direct_product(G, groups.cyclic_group(n))
+    return G
+
+
+def _random_abelian_orders(count: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """`count` seeded factor orders: 2 or 3 factors of order 2..16, product <= 256."""
     out = []
     while len(out) < count:
         n_factors = rng.randint(2, 3)
-        orders = [rng.randint(2, 16) for _ in range(n_factors)]
-        total = 1
-        for n in orders:
-            total *= n
-        if total > 256:
-            continue
-        G = groups.cyclic_group(orders[0])
-        for n in orders[1:]:
-            G = groups.direct_product(G, groups.cyclic_group(n))
-        out.append(G)
+        orders = tuple(rng.randint(2, 16) for _ in range(n_factors))
+        if prod(orders) <= 256:
+            out.append(orders)
     return out
+
+
+def _corpus(seed: int) -> list[tuple[int, Callable[[], FiniteGroup]]]:
+    """transfer-props' corpus in order: each group's order, known before any build, and its recipe.
+
+    A recipe builds the group's stored table when called.  The constructors are
+    read from `groups` here, at the call, so whatever wraps them then applies.
+    """
+    corpus = [(euler_phi(m), partial(groups.group_from_unit_residues, m)) for m in range(3, 121)]
+    corpus += [(n, partial(groups.cyclic_group, n)) for n in range(1, 65)]
+    corpus += [
+        (prod(orders), partial(_abelian_product, orders))
+        for orders in _random_abelian_orders(50, random.Random(seed))
+    ]
+    return corpus
 
 
 def _all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -288,18 +308,16 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     Every group of the corpus and of the surjectivity sweep has order <=
     max_order; the corpus is drawn the same at any max_order, so a smaller
     bound keeps a subset of its groups.
+    The corpus is a list of recipes (`_corpus`), filtered by orders known
+    before any build; each sweep item builds its group's stored table and
+    drops it on return, so one table is alive per worker thread.
     """
     result = SuiteResult("transfer-props", params={"seed": seed})
-    rng = random.Random(seed)
+    builds = [build for order, build in _corpus(seed) if order <= max_order]
 
-    corpus: list[FiniteGroup] = []
-    corpus += [groups.group_from_unit_residues(m) for m in range(3, 121)]
-    corpus += [groups.cyclic_group(n) for n in range(1, 65)]
-    corpus += _random_abelian_products(50, rng)
-    corpus = [G for G in corpus if G.order <= max_order]
-
-    def run(indexed: tuple[int, FiniteGroup]) -> tuple[int, list[str]]:
-        i, G = indexed
+    def run(indexed: tuple[int, Callable[[], FiniteGroup]]) -> tuple[int, list[str]]:
+        i, build = indexed
+        G = build()
         rng = random.Random(seed + 7919 * i)  # per-group stream, stable under threading
         bad = []
         for U in _all_subgroups(G):
@@ -334,7 +352,7 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                     bad.append(f"|G|={G.order}, U={U.members}: V not a homomorphism")
         return max(1, len(bad)), bad
 
-    _sweep(result, run, enumerate(corpus), threads)
+    _sweep(result, run, enumerate(builds), threads)
 
     # Surjectivity on all subgroups of all cyclic groups up to max_order.
     for n in range(1, max_order + 1):

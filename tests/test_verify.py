@@ -5,7 +5,10 @@ run's check count and the expected first failures, in order.
 """
 
 import random
+import threading
+import weakref
 from dataclasses import replace
+from math import prod
 
 import pytest
 
@@ -246,11 +249,10 @@ def replayed_transversals(seed, max_order):
     Rebuilds the corpus and each group's stream as the suite does, skipping the subgroups
     without a cyclic quotient, which draw nothing.
     """
-    corpus = [groups.group_from_unit_residues(m) for m in range(3, 121)]
-    corpus += [groups.cyclic_group(n) for n in range(1, 65)]
-    corpus += verify._random_abelian_products(50, random.Random(seed))
+    builds = [build for order, build in verify._corpus(seed) if order <= max_order]
     out, draws = [], 0
-    for i, G in enumerate(G for G in corpus if G.order <= max_order):
+    for i, build in enumerate(builds):
+        G = build()
         rng = random.Random(seed + 7919 * i)
         for U in verify._all_subgroups(G):
             if not any(groups.coset_order(U, x) == U.index for x in G.elements):
@@ -294,3 +296,57 @@ def test_choice_replay_matches_random_choice(seed):
             picks = verify._choice_indices(replay, n, count)
             assert picks == [reference.choice(range(n)) for _ in range(count)], (n, count)
             assert replay.getstate() == reference.getstate(), (n, count)
+
+
+def eager_corpus(seed, max_order):
+    """The corpus as transfer-props once built it: every table up front, then the order filter."""
+    rng = random.Random(seed)
+    corpus = [groups.group_from_unit_residues(m) for m in range(3, 121)]
+    corpus += [groups.cyclic_group(n) for n in range(1, 65)]
+    while len(corpus) < 118 + 64 + 50:
+        orders = [rng.randint(2, 16) for _ in range(rng.randint(2, 3))]
+        if prod(orders) > 256:
+            continue
+        G = groups.cyclic_group(orders[0])
+        for n in orders[1:]:
+            G = groups.direct_product(G, groups.cyclic_group(n))
+        corpus.append(G)
+    return [G for G in corpus if G.order <= max_order]
+
+
+def test_corpus_orders_are_the_built_orders():
+    corpus = verify._corpus(SEED)
+    assert len(corpus) == 232
+    assert all(order == build().order for order, build in corpus)
+
+
+@pytest.mark.parametrize("max_order", [8, 16, 256])
+def test_corpus_recipes_build_the_eager_tables(max_order):
+    built = [build() for order, build in verify._corpus(SEED) if order <= max_order]
+    eager = eager_corpus(SEED, max_order)
+    assert [(G.table, G.identity, G.labels) for G in built] == [
+        (G.table, G.identity, G.labels) for G in eager
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_transfer_props_holds_one_corpus_table_per_worker(monkeypatch, threads):
+    # Each sweep item builds its own group and drops it on return, so no more corpus
+    # groups are alive at once than there are worker threads.
+    corpus = verify._corpus
+    alive, lock, counts = weakref.WeakSet(), threading.Lock(), []
+
+    def tracked(build):
+        def built():
+            G = build()
+            with lock:
+                alive.add(G)
+                counts.append(len(alive))
+            return G
+
+        return built
+
+    monkeypatch.setattr(verify, "_corpus", lambda seed: [(o, tracked(b)) for o, b in corpus(seed)])
+    assert verify.transfer_props_suite(max_order=16, threads=threads).passed
+    assert len(counts) == len([o for o, _ in corpus(SEED) if o <= 16])
+    assert max(counts) <= threads
