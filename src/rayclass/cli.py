@@ -273,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         "euler-formulation, takagi, conductor |d| <= min(101, MAX_PRIME); indices q <= MAX_PRIME; "
         "transfer-props ignores it",
     )
-    p.add_argument("--threads", type=int, help="worker threads, at least 1 (default: the CPU count)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="worker threads, at least 1 (default: the CPU count); transfer-props runs serially",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -11,9 +11,12 @@ by a fifth, and builds each stored table only when it checks that group.  The
 transfer of g from G to a subgroup U is computed by the literal coset formula:
 pick representatives r_i, solve g*r_i = r_j * u_j with u_j in U, and multiply
 the u_j modulo the commutator subgroup of U.  Each subgroup keeps one
-canonical coset lookup (element -> canonical coset); a caller's transversal
-adds only a position and an inverse rep per coset, so u_j = r_j^-1 * (g*r_i)
-costs O(1) per coset.  One loop multiplies the u_j for a batch of elements:
+canonical decomposition (`CanonicalCosets`): the lookup element -> canonical
+coset, and the table solutions[x] = u solving x = r*u for x's canonical rep r,
+both filled by the one walk over the cosets.  On it each step reads u_j from
+the table.  A caller's transversal adds only a position and an inverse rep per
+coset, so u_j = r_j^-1 * (g*r_i) costs O(1) per coset; tabulating it would cost
+|G| per transversal.  One loop multiplies the u_j for a batch of elements:
 `transfer` runs it for one g and returns the value with its per-coset trace,
 `transfer_values` runs it for a batch and returns the values alone, and
 `transfer_homomorphism` is `transfer_values` over all of G.
@@ -156,6 +159,18 @@ class CosetDecomposition:
     canonical: tuple[int, ...]
     position: tuple[int, ...]
     inverse_reps: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CanonicalCosets(CosetDecomposition):
+    """U's canonical decomposition, with the coset equation solved for every element.
+
+    solutions[x] = u for x = r*u, r the canonical rep of x's coset and u in U; the
+    walk that builds the lookup visits each x as r*u, so this costs one store apiece.
+    A caller's transversal has no such table: it would cost |G| per transversal.
+    """
+
+    solutions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -337,48 +352,57 @@ def _require_elements(G: FiniteGroup, ids: tuple[int, ...]) -> None:
             raise InvalidArgumentError(f"{x} is not an element of the group of order {G.order}")
 
 
-def coset_decomposition(U: Subgroup) -> CosetDecomposition:
+def coset_decomposition(U: Subgroup) -> CanonicalCosets:
     """Canonical decomposition of U.parent: least element id per left coset, reps ascending."""
     G = U.parent
     coset_of = [-1] * G.order
+    solutions = [0] * G.order
     reps: list[int] = []
     for g in G.elements:
         if coset_of[g] < 0:
             row = G.table[g]
+            c = len(reps)
             for u in U.members:
-                if coset_of[row[u]] >= 0:
+                x = row[u]
+                if coset_of[x] >= 0:
                     raise InvalidArgumentError("coset representatives are not disjoint")
-                coset_of[row[u]] = len(reps)
+                coset_of[x] = c
+                solutions[x] = u
             reps.append(g)
     if -1 in coset_of:
         raise InvalidArgumentError("cosets do not cover the group")
     inv = G.inverses
-    return CosetDecomposition(
+    return CanonicalCosets(
         reps=tuple(reps),
         canonical=tuple(coset_of),
         position=tuple(range(len(reps))),
         inverse_reps=tuple(inv[r] for r in reps),
+        solutions=tuple(solutions),
     )
 
 
 def decomposition_from_reps(U: Subgroup, reps: tuple[int, ...]) -> CosetDecomposition:
-    """Caller-chosen reps, one per canonical coset: U's canonical lookup, shared, plus O(index) per coset."""
+    """Caller-chosen reps, one per canonical coset: U's canonical lookup, shared, plus O(index) per coset.
+
+    One pass over reps; an id outside G raises at once, and a repeated coset outranks a missing one.
+    """
     G = U.parent
-    _require_elements(G, reps)
-    cosets = U.cosets
-    canonical = cosets.canonical
-    cs = [canonical[r] for r in reps]
-    if len(set(cs)) < len(cs):
-        raise InvalidArgumentError("coset representatives are not disjoint")
-    index = len(cosets.reps)
-    if len(cs) < index:
-        raise InvalidArgumentError("cosets do not cover the group")
-    inv = G.inverses
-    position = [0] * index
+    elements, inv = G.elements, G.inverses
+    canonical = U.cosets.canonical
+    index = U.index
+    position = [-1] * index
     inverse_reps = [0] * index
-    for i, c in enumerate(cs):
+    for i, r in enumerate(reps):
+        if r not in elements:
+            raise InvalidArgumentError(f"{r} is not an element of the group of order {G.order}")
+        c = canonical[r]
         position[c] = i
-        inverse_reps[c] = inv[reps[i]]
+        inverse_reps[c] = inv[r]
+    missing = position.count(-1)
+    if index - missing < len(reps):  # fewer cosets reached than reps given
+        raise InvalidArgumentError("coset representatives are not disjoint")
+    if missing:
+        raise InvalidArgumentError("cosets do not cover the group")
     return CosetDecomposition(
         reps=tuple(reps),
         canonical=canonical,
@@ -413,25 +437,35 @@ def _transfer_products(
 ) -> list[int]:
     """prod u_j over the reps r_i for each g in gs, where g*r_i = r_j*u_j; records (g*r_i, u_j) if asked.
 
-    x = g*r_i lies in the canonical coset canonical[x], whose rep here is r_j,
-    so u_j = r_j^-1 * x.  This is the one loop that multiplies the u_j.
+    x = g*r_i lies in the canonical coset canonical[x], whose rep here is r_j, so
+    u_j = r_j^-1 * x, read from solutions[x] when the decomposition is U's canonical
+    one.  This is the one loop that multiplies the u_j.  With `record` (one g, from
+    `transfer`) a second pass over gs keeps each step's x and u_j, solved the same way.
     """
     t = G.table
     reps = decomposition.reps
     canonical = decomposition.canonical
     inverse_reps = decomposition.inverse_reps
+    solutions = decomposition.solutions if isinstance(decomposition, CanonicalCosets) else None
     identity = G.identity
     products = []
     for g in gs:
         row = t[g]
         prod = identity
-        for r in reps:
-            x = row[r]
-            u = t[inverse_reps[canonical[x]]][x]
-            if record is not None:
-                record.append((x, u))
-            prod = t[prod][u]
+        if solutions is not None:
+            for r in reps:
+                prod = t[prod][solutions[row[r]]]
+        else:
+            for r in reps:
+                x = row[r]
+                prod = t[prod][t[inverse_reps[canonical[x]]][x]]
         products.append(prod)
+    if record is not None:
+        for g in gs:
+            row = t[g]
+            for r in reps:
+                x = row[r]
+                record.append((x, solutions[x] if solutions is not None else t[inverse_reps[canonical[x]]][x]))
     return products
 
 

@@ -57,7 +57,9 @@ def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
     `run` is mapped over the items on a thread pool when threads > 1; the
     outcome does not depend on the thread count.  The pool submits every item
     at once, so the items are all alive from the start: an item must be cheap
-    to hold, and what is costly to hold belongs inside `run`.
+    to hold, and what is costly to hold belongs inside `run`.  Under the GIL the
+    pool runs no Python in parallel; transfer-props, where it cost 10-15%,
+    sweeps with threads=1 whatever it is given.
     """
     if threads <= 1:
         outcomes = map(run, items)
@@ -302,7 +304,8 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     groups, and triviality on Klein's four group.  The power law holds for
     every subgroup U of an abelian G, but only the subgroups with a cyclic
     quotient G/U are checked: the others (887 of the 3,131 at the defaults)
-    get none of the first three checks.
+    get none of the first three checks.  A coset's order is the same from each
+    of its elements, so the scan for a coset of order [G:U] reads one rep per coset.
     Each checked subgroup draws 50 seeded transversals (one rng.choice per
     coset, replayed by `_choice_indices`) and evaluates each distinct one once.
     Every group of the corpus and of the surjectivity sweep has order <=
@@ -310,7 +313,8 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     bound keeps a subset of its groups.
     The corpus is a list of recipes (`_corpus`), filtered by orders known
     before any build; each sweep item builds its group's stored table and
-    drops it on return, so one table is alive per worker thread.
+    drops it on return, so one table is alive at a time.  The sweep runs
+    serially: `threads` is accepted for `run_suite`'s sake and has no effect.
     """
     result = SuiteResult("transfer-props", params={"seed": seed})
     builds = [build for order, build in _corpus(seed) if order <= max_order]
@@ -318,11 +322,11 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     def run(indexed: tuple[int, Callable[[], FiniteGroup]]) -> tuple[int, list[str]]:
         i, build = indexed
         G = build()
-        rng = random.Random(seed + 7919 * i)  # per-group stream, stable under threading
+        rng = random.Random(seed + 7919 * i)  # per-group stream
         bad = []
         for U in _all_subgroups(G):
             f = U.index
-            if not any(groups.coset_order(U, x) == f for x in G.elements):
+            if not any(groups.coset_order(U, x) == f for x in U.cosets.reps):
                 continue  # the power law below needs a cyclic quotient
             hom = groups.transfer_homomorphism(U)
             # Cyclic-quotient power law.
@@ -352,10 +356,10 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                     bad.append(f"|G|={G.order}, U={U.members}: V not a homomorphism")
         return max(1, len(bad)), bad
 
-    _sweep(result, run, enumerate(builds), threads)
+    _sweep(result, run, enumerate(builds), threads=1)
 
-    # Surjectivity on all subgroups of all cyclic groups up to max_order.
-    for n in range(1, max_order + 1):
+    def check_surjective(n: int) -> None:
+        """Surjectivity onto every subgroup of Z/n; Z/n's table is freed on return."""
         G = groups.cyclic_group(n)
         for d in sorted({k for k in range(1, n + 1) if n % k == 0}):
             U = groups.subgroup_generated(G, {d % n})
@@ -364,6 +368,10 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                 set(hom.values) == U.member_set,
                 f"transfer Z/{n} -> subgroup of order {U.order} not surjective",
             )
+
+    # Surjectivity on all subgroups of all cyclic groups up to max_order.
+    for n in range(1, max_order + 1):
+        check_surjective(n)
 
     # Klein four: transfer to every order-2 subgroup is trivial.
     V4 = groups.klein_four_group()

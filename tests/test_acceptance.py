@@ -1,7 +1,9 @@
 """Acceptance sweeps at full bounds; one pass/fail line is printed per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The heavy corpus suite is shared by the three criteria it covers.
+The heavy corpus suite is shared by the three criteria it covers.  Each suite's
+check count at its default bounds is pinned, so a change that keeps PASS but
+checks less fails here.
 """
 
 import time
@@ -40,6 +42,7 @@ def test_criterion_01_qr_via_splitting():
         max_prime=541,
     )
     assert result.passed, result.failures
+    assert result.checks == 9702
 
 
 def test_criterion_02_qr_via_transfer():
@@ -50,6 +53,7 @@ def test_criterion_02_qr_via_transfer():
         max_q=541,
     )
     assert result.passed, result.failures
+    assert result.checks == 7584
 
 
 def test_criterion_03_three_route_symbols():
@@ -60,6 +64,7 @@ def test_criterion_03_three_route_symbols():
         n_systems=20,
     )
     assert result.passed, result.failures
+    assert result.checks == 94118
 
 
 def test_criterion_04_cyclic_quotient_power_law(transfer_props_result):
@@ -70,6 +75,8 @@ def test_criterion_04_cyclic_quotient_power_law(transfer_props_result):
 
 def test_criterion_05_rep_independence_and_homomorphism(transfer_props_result):
     assert transfer_props_result.passed, transfer_props_result.failures
+    # One check per passing corpus group, then the surjectivity tail and Klein's three.
+    assert transfer_props_result.checks == 1701
 
 
 def test_criterion_06_surjectivity_and_klein_four(transfer_props_result):
@@ -95,6 +102,7 @@ def test_criterion_08_euler_formulation():
         prime_bound=5000,
     )
     assert result.passed, result.failures
+    assert result.checks == 62
 
 
 def test_criterion_09_takagi_index_and_witnesses():
@@ -107,6 +115,7 @@ def test_criterion_09_takagi_index_and_witnesses():
         prime_bound=10**4,
     )
     assert result.passed, result.failures
+    assert result.checks == 163
 
 
 def test_criterion_10_conductors():
@@ -116,6 +125,7 @@ def test_criterion_10_conductors():
         max_disc=100,
     )
     assert result.passed, result.failures
+    assert result.checks == 61
 
 
 def test_criterion_11_cyclotomic_bookkeeping():
@@ -126,3 +136,4 @@ def test_criterion_11_cyclotomic_bookkeeping():
         prime_bound=500,
     )
     assert result.passed, result.failures
+    assert result.checks == 9426

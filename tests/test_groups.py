@@ -322,6 +322,49 @@ def test_decomposition_from_reps_validates():
         coset_decomposition(not_closed)
 
 
+def s3_with_a_non_normal_subgroup():
+    """S3, a subgroup U of order 2 (not normal: three left cosets), and U's canonical reps."""
+    S3 = symmetric_group_3()
+    U = next(U for U in all_subgroups(S3) if U.order == 2)
+    return S3, U, U.cosets.reps
+
+
+@pytest.mark.parametrize(
+    "pick, message",
+    [
+        (lambda G, U, r: (r[0], 6, r[2]), "6 is not an element of the group of order 6"),
+        (lambda G, U, r: (r[0], G.op(r[0], U.members[1]), r[2]), "coset representatives are not disjoint"),
+        (lambda G, U, r: (r[2], r[0]), "cosets do not cover the group"),
+        # A repeat outranks a missing coset, and an id outside G outranks both.
+        (lambda G, U, r: (r[1], G.op(r[1], U.members[1])), "coset representatives are not disjoint"),
+        (lambda G, U, r: (r[1], G.op(r[1], U.members[1]), -1), "-1 is not an element of the group of order 6"),
+    ],
+    ids=["outside", "repeat", "missing", "repeat-and-missing", "outside-after-repeat"],
+)
+def test_decomposition_from_reps_errors_and_their_order(pick, message):
+    G, U, reps = s3_with_a_non_normal_subgroup()
+    assert len(reps) == 3
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        decomposition_from_reps(U, pick(G, U, reps))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [symmetric_group_3, lambda: group_from_unit_residues(15), lambda: unit_group(15)],
+    ids=["S3", "stored (Z/15)^x", "computed (Z/15)^x"],
+)
+def test_canonical_cosets_tabulate_the_coset_equation(build):
+    # solutions[x] = u with x = r*u, r the canonical rep of x's coset: every subgroup,
+    # the non-normal ones of S3 included.
+    G = build()
+    for U in all_subgroups(G):
+        cosets = U.cosets
+        assert isinstance(cosets, groups.CanonicalCosets) and len(cosets.solutions) == G.order
+        for x in G.elements:
+            u = cosets.solutions[x]
+            assert u in U and G.op(cosets.reps[cosets.canonical[x]], u) == x
+
+
 @pytest.mark.parametrize("bad", [-1, 6], ids=["negative", "order"])
 @pytest.mark.parametrize(
     "call",

@@ -330,9 +330,9 @@ def test_corpus_recipes_build_the_eager_tables(max_order):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_transfer_props_holds_one_corpus_table_per_worker(monkeypatch, threads):
-    # Each sweep item builds its own group and drops it on return, so no more corpus
-    # groups are alive at once than there are worker threads.
+def test_transfer_props_holds_one_corpus_table_at_a_time(monkeypatch, threads):
+    # Each sweep item builds its own group and drops it on return, and the sweep runs
+    # serially at any thread count, so one corpus group is alive at a time.
     corpus = verify._corpus
     alive, lock, counts = weakref.WeakSet(), threading.Lock(), []
 
@@ -349,4 +349,50 @@ def test_transfer_props_holds_one_corpus_table_per_worker(monkeypatch, threads):
     monkeypatch.setattr(verify, "_corpus", lambda seed: [(o, tracked(b)) for o, b in corpus(seed)])
     assert verify.transfer_props_suite(max_order=16, threads=threads).passed
     assert len(counts) == len([o for o, _ in corpus(SEED) if o <= 16])
-    assert max(counts) <= threads
+    assert max(counts) == 1
+
+
+def test_surjectivity_tail_frees_each_cyclic_table_before_the_next(monkeypatch):
+    cyclic = groups.cyclic_group
+    alive, counts = weakref.WeakSet(), []
+
+    def tracked(n):
+        G = cyclic(n)
+        alive.add(G)
+        counts.append((n, len(alive)))
+        return G
+
+    monkeypatch.setattr(groups, "cyclic_group", tracked)
+    assert verify.transfer_props_suite(max_order=16).passed
+    # The tail builds Z/1 .. Z/16; Klein's four group then builds Z/2 twice.
+    tail = counts[-18:-2]
+    assert [n for n, _ in tail] == list(range(1, 17))
+    assert all(k == 1 for _, k in tail), tail
+
+
+def test_transfer_props_checks_the_cyclic_quotient_subgroups(monkeypatch):
+    # transfer-props counts one check per passing group, so its check count would not
+    # notice a scan that skipped other subgroups; the tabulated ones are pinned instead,
+    # against a scan over every element.
+    tabulate = groups.transfer_homomorphism
+    seen = []
+
+    def recorded(U):
+        seen.append((U.parent.order, U.members))
+        return tabulate(U)
+
+    monkeypatch.setattr(groups, "transfer_homomorphism", recorded)
+    assert verify.transfer_props_suite(max_order=32).passed
+    expected = []
+    for order, build in verify._corpus(SEED):
+        if order <= 32:
+            G = build()
+            expected += [
+                (G.order, U.members)
+                for U in verify._all_subgroups(G)
+                if any(groups.coset_order(U, x) == U.index for x in G.elements)
+            ]
+    assert len(expected) == 704  # of 1,061 corpus subgroups at max_order 32
+    assert seen[: len(expected)] == expected
+    # Then the surjectivity tail (119 subgroups of Z/n, n <= 32) and Klein's three.
+    assert len(seen) == 826
