@@ -322,13 +322,6 @@ def test_decomposition_from_reps_validates():
         coset_decomposition(not_closed)
 
 
-def s3_with_a_non_normal_subgroup():
-    """S3, a subgroup U of order 2 (not normal: three left cosets), and U's canonical reps."""
-    S3 = symmetric_group_3()
-    U = next(U for U in all_subgroups(S3) if U.order == 2)
-    return S3, U, U.cosets.reps
-
-
 @pytest.mark.parametrize(
     "pick, message",
     [
@@ -342,7 +335,9 @@ def s3_with_a_non_normal_subgroup():
     ids=["outside", "repeat", "missing", "repeat-and-missing", "outside-after-repeat"],
 )
 def test_decomposition_from_reps_errors_and_their_order(pick, message):
-    G, U, reps = s3_with_a_non_normal_subgroup()
+    G = symmetric_group_3()
+    U = next(U for U in all_subgroups(G) if U.order == 2)  # not normal: three left cosets
+    reps = U.cosets.reps
     assert len(reps) == 3
     with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         decomposition_from_reps(U, pick(G, U, reps))
