@@ -1,4 +1,4 @@
-"""Ray class groups of Q, ideal groups, Artin symbols, conductors, witnesses.
+"""Ray class groups of Q, ideal groups, the Artin map on ray classes, conductors, witnesses.
 
 A modulus is a positive integer m0 plus an optional infinite place.  With the
 infinite place, ray classes mod m0*oo biject with coprime residues mod m0 via
@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, is_prime, primes_up_to, require_odd_prime
+from .arith import euler_phi, factorize, primes_up_to, require_odd_prime
 from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
     NotCoprimeError,
     NotInTakagiGroupError,
-    RamifiedError,
     TooLargeError,
     WitnessNotFoundError,
 )
@@ -73,9 +72,6 @@ class FundamentalDiscriminant:
         if not is_fundamental_discriminant(self.d):
             raise InvalidDiscriminantError(f"{self.d} is not a fundamental discriminant")
 
-    def __int__(self) -> int:
-        return self.d
-
     @property
     def modulus(self) -> Modulus:
         """(|d|), with the infinite place exactly when d < 0."""
@@ -117,9 +113,6 @@ class IdealGroupH:
 
     parent: RayClassGroup
     labels: frozenset[int]
-
-    def contains(self, label: int) -> bool:
-        return label in self.labels
 
     def validate(self) -> None:
         """InvalidArgumentError unless the labels are ray classes that form a subgroup."""
@@ -186,7 +179,6 @@ def index(H: IdealGroupH) -> int:
 @dataclass(frozen=True)
 class FirstInequalityResult:
     index: int
-    degree: int
     holds: bool      # index <= degree
     divides: bool    # the post-CFT refinement
 
@@ -196,39 +188,13 @@ def first_inequality_check(H: IdealGroupH, degree: int) -> FirstInequalityResult
     if degree < 1:
         raise InvalidArgumentError(f"degree must be positive, got {degree}")
     idx = index(H)
-    return FirstInequalityResult(
-        index=idx, degree=degree, holds=idx <= degree, divides=degree % idx == 0
-    )
-
-
-def artin_symbol_cyclotomic(p: int, m: int) -> int:
-    """Frobenius of p in Q(zeta_m)/Q as the label of p's class mod m*oo."""
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    if m < 3:
-        raise InvalidArgumentError(f"need m >= 3, got {m}")
-    if m % p == 0:
-        raise RamifiedError(f"{p} divides {m}")
-    return ray_class_group(Modulus(m, infinite=True)).class_of(p)
-
-
-def artin_symbol_quadratic(q: int, d: FundamentalDiscriminant | int) -> int:
-    """Frobenius of q in Q(sqrt(d))/Q as a sign, i.e. the Kronecker symbol (d/q)."""
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
-    if not is_prime(q):
-        raise InvalidArgumentError(f"{q} is not prime")
-    if d.d % q == 0:
-        raise RamifiedError(f"{q} ramifies in discriminant {d.d}")
-    return kronecker(d.d, q)
+    return FirstInequalityResult(index=idx, holds=idx <= degree, divides=degree % idx == 0)
 
 
 @dataclass(frozen=True)
 class ConstancyReport:
     """Per-ray-class symbol values for primes up to a bound, plus any violation."""
 
-    d: int
-    bound: int
     class_values: tuple[tuple[int, int], ...]  # (class label, symbol value), sorted
     counterexample: tuple[int, int] | None      # (prime, clashing value) if any
 
@@ -254,12 +220,7 @@ def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) ->
                 counterexample = (p, chi)
         else:
             values[label] = chi
-    return ConstancyReport(
-        d=d.d,
-        bound=bound,
-        class_values=tuple(sorted(values.items())),
-        counterexample=counterexample,
-    )
+    return ConstancyReport(class_values=tuple(sorted(values.items())), counterexample=counterexample)
 
 
 def _divisors(n: int) -> list[int]:

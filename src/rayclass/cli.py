@@ -52,12 +52,12 @@ def cmd_symbol(args) -> int:
             value = symbols.legendre_euler(a, n)
         else:
             system = symbols.default_half_system(n)
-            value, gtrace = symbols.gauss_lemma(a, n, system)
+            value, rows = symbols.gauss_lemma(a, n, system)
             trace = {
                 "half_system": list(system.elements),
                 "rows": [
                     {"j": r.index, "product": r.product, "sign": r.sign, "target": r.target}
-                    for r in gtrace.rows
+                    for r in rows
                 ],
             }
     elif args.kind == "jacobi":

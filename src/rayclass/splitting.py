@@ -117,7 +117,7 @@ def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
     """True iff the class of (q) lies in the ideal group H."""
     if not is_prime(q):
         raise InvalidArgumentError(f"{q} is not prime")
-    return H.contains(H.parent.class_of(q))
+    return H.parent.class_of(q) in H.labels
 
 
 def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
@@ -143,7 +143,8 @@ def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
 
 
 def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
-    """Kernel of the transfer (Z/p)^x -> {+-1} as an ideal group; class field Q(sqrt(p*))."""
+    """Kernel of the transfer (Z/p)^x -> {+-1}, checked equal to `squares_group(p)` and returned
+    as it; class field Q(sqrt(p*))."""
     require_odd_prime(p)
     G, U = _transfer_setup(p)
     kernel = frozenset(G.label_of(k) for k in kernel_of(transfer_homomorphism(U)).members)
@@ -152,21 +153,17 @@ def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
         raise InternalInconsistencyError(
             f"transfer kernel mod {p} differs from the square classes"
         )
-    H = IdealGroupH(parent=sq.parent, labels=kernel)
-    return H, Quadratic(FundamentalDiscriminant(pstar(p)))
+    return sq, Quadratic(FundamentalDiscriminant(pstar(p)))
 
 
 @dataclass(frozen=True)
 class BridgeReport:
     """Transfer-vs-Gauss-Lemma comparison over one half-system."""
 
-    p: int
-    a: int
     transfer_value: int                       # +-1
-    symbol_value: int                         # +-1
     transfer_signs: tuple[int, ...]           # u_j mapped to +-1, in rep order
     gauss_signs: tuple[int, ...]              # s_j in half-system order
-    signs_match: bool
+    signs_match: bool                         # row by row: same sign, same target coset
     values_match: bool
 
     @property
@@ -175,33 +172,33 @@ class BridgeReport:
 
 
 def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
-    """Run the transfer to {+-1} with the half-system as coset reps, next to Gauss's Lemma."""
-    symbol, trace = gauss_lemma(a, p, system)
+    """Run the transfer to {+-1} with the half-system as coset reps, next to Gauss's Lemma.
+
+    With U = {+-1} and rep r_i = a_i, the coset step a*a_i = a_j*u_i is the Gauss row
+    a*a_i = s_i*a_{pi(i)}: each step must match the row of its rep in sign and target.
+    """
+    symbol, rows = gauss_lemma(a, p, system)
     G, U = _transfer_setup(p)
-    # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a
-    # transversal, which is the entire content of the bridge.
+    # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a transversal.
     dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
     result = transfer(U, G.id_of(a % p), dec)
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
-    transfer_signs = tuple(to_sign[u] for _, _, u in result.contributions)
+    steps = result.contributions
     transfer_value = to_sign[result.value]
-    gauss_signs = tuple(row.sign for row in trace.rows)
     return BridgeReport(
-        p=p,
-        a=a % p,
         transfer_value=transfer_value,
-        symbol_value=symbol,
-        transfer_signs=transfer_signs,
-        gauss_signs=gauss_signs,
-        signs_match=sorted(transfer_signs) == sorted(gauss_signs),
+        transfer_signs=tuple(to_sign[u] for _, _, u in steps),
+        gauss_signs=tuple(row.sign for row in rows),
+        signs_match=len(steps) == len(rows) and all(
+            row.index == i and row.target == j and row.sign == to_sign[u]
+            for row, (i, j, u) in zip(rows, steps)
+        ),
         values_match=transfer_value == symbol,
     )
 
 
 @dataclass(frozen=True)
 class ReciprocityCheck:
-    p: int
-    q: int
     lhs: int  # (p*/q)
     rhs: int
     equal: bool
@@ -219,7 +216,7 @@ def qr_via_splitting(p: int, q: int) -> ReciprocityCheck:
     _require_distinct_odd_primes(p, q)
     lhs = kronecker(pstar(p), q)
     rhs = 1 if splits_completely_in_class_field(q, squares_group(p)) else -1
-    return ReciprocityCheck(p=p, q=q, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    return ReciprocityCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
 @lru_cache(maxsize=64)
@@ -246,4 +243,4 @@ def qr_via_transfer(p: int, q: int) -> ReciprocityCheck:
     _require_distinct_odd_primes(p, q)
     lhs = kronecker(pstar(p), q)
     rhs = transfer_sign(p, q)
-    return ReciprocityCheck(p=p, q=q, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    return ReciprocityCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)

@@ -56,13 +56,6 @@ class GaussLemmaRow:
     target: int
 
 
-@dataclass(frozen=True)
-class GaussLemmaTrace:
-    a: int
-    rows: tuple[GaussLemmaRow, ...]
-    sign_product: int
-
-
 def legendre_brute(a: int, p: int) -> int:
     """Legendre symbol by enumerating squares mod p. The slow oracle."""
     require_odd_prime(p)
@@ -108,8 +101,8 @@ def gauss_lemma_sign(a: int, p: int, system: HalfSystem) -> int:
     return sign
 
 
-def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, GaussLemmaTrace]:
-    """Legendre symbol as the product of half-system signs, with full trace.
+def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, tuple[GaussLemmaRow, ...]]:
+    """Legendre symbol as the product of half-system signs, with one row per a_j in order.
 
     Callers that need only the value use `gauss_lemma_sign`, which builds no rows.
     """
@@ -125,7 +118,7 @@ def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, GaussLemmaTrac
             sign, target = -1, positions[p - t]
         rows.append(GaussLemmaRow(index=j, product=t, sign=sign, target=target))
         sign_product *= sign
-    return sign_product, GaussLemmaTrace(a=a % p, rows=tuple(rows), sign_product=sign_product)
+    return sign_product, tuple(rows)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -417,10 +417,8 @@ def takagi_suite(
         },
     )
     for d in fundamental_discriminants(max_disc):
-        H = classfield.takagi_group_quadratic(d)
-        idx = classfield.index(H)
-        result.check(idx == 2, f"d={d.d}: norm group index {idx} != 2")
-        chk = classfield.first_inequality_check(H, 2)
+        chk = classfield.first_inequality_check(classfield.takagi_group_quadratic(d), 2)
+        result.check(chk.index == 2, f"d={d.d}: norm group index {chk.index} != 2")
         result.check(chk.holds and chk.divides, f"d={d.d}: first inequality fails")
 
     def run(d: FundamentalDiscriminant) -> tuple[int, list[str]]:
@@ -462,11 +460,9 @@ def indices_suite(max_m: int = 100, prime_bound: int = 500, threads: int = 1) ->
     _sweep(result, run, range(3, max_m + 1), threads)
 
     for m in range(3, min(max_m, 60) + 1):
-        H = classfield.takagi_group_cyclotomic(m)
-        idx = classfield.index(H)
         phi = euler_phi(m)
-        result.check(idx == phi, f"m={m}: cyclotomic norm group index {idx} != phi(m) = {phi}")
-        chk = classfield.first_inequality_check(H, phi)
+        chk = classfield.first_inequality_check(classfield.takagi_group_cyclotomic(m), phi)
+        result.check(chk.index == phi, f"m={m}: cyclotomic norm group index {chk.index} != phi(m) = {phi}")
         result.check(chk.holds and chk.divides, f"m={m}: first inequality fails")
     return result
 

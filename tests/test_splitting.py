@@ -144,9 +144,9 @@ def test_gauss_lemma_is_transfer():
     assert report.ok and report.transfer_value == 1
     report = gauss_lemma_is_transfer(7, 3, default_half_system(7))
     assert report.ok and report.transfer_value == -1
-    assert sorted(report.transfer_signs) == sorted(report.gauss_signs) == [-1, 1, 1]
+    assert report.transfer_signs == report.gauss_signs == (1, -1, 1)
     report = gauss_lemma_is_transfer(7, 2, default_half_system(7))
-    assert report.ok and sorted(report.gauss_signs) == [-1, -1, 1]
+    assert report.ok and report.transfer_signs == report.gauss_signs == (1, -1, -1)
 
 
 def test_gauss_lemma_is_transfer_random_systems():

@@ -48,15 +48,15 @@ def test_legendre_euler_examples():
 def test_gauss_lemma_examples():
     A = default_half_system(7)
     assert A.elements == (1, 2, 3)
-    value, trace = gauss_lemma(3, 7, A)
+    value, rows = gauss_lemma(3, 7, A)
     assert value == -1
-    assert tuple(r.sign for r in trace.rows) == (1, -1, 1)
-    value, trace = gauss_lemma(2, 7, A)
+    assert tuple(r.sign for r in rows) == (1, -1, 1)
+    value, rows = gauss_lemma(2, 7, A)
     assert value == 1
-    assert tuple(r.sign for r in trace.rows) == (1, -1, -1)
-    value, trace = gauss_lemma(1, 7, A)
+    assert tuple(r.sign for r in rows) == (1, -1, -1)
+    value, rows = gauss_lemma(1, 7, A)
     assert value == 1
-    assert all(r.sign == 1 for r in trace.rows)
+    assert all(r.sign == 1 for r in rows)
 
 
 def test_gauss_lemma_trace_invariants():
@@ -64,16 +64,17 @@ def test_gauss_lemma_trace_invariants():
     for p in (5, 7, 11, 13, 31):
         for system in (default_half_system(p), random_half_system(p, rng)):
             for a in range(1, p):
-                value, trace = gauss_lemma(a, p, system)
-                targets = [r.target for r in trace.rows]
+                value, rows = gauss_lemma(a, p, system)
+                assert [r.index for r in rows] == list(range(len(system.elements)))
+                targets = [r.target for r in rows]
                 assert sorted(targets) == list(range(len(system.elements)))
-                for r in trace.rows:
+                for r in rows:
                     lhs = a * system.elements[r.index] % p
                     assert lhs == r.sign * system.elements[r.target] % p
                 prod = 1
-                for r in trace.rows:
+                for r in rows:
                     prod *= r.sign
-                assert prod == trace.sign_product == value
+                assert prod == value
 
 
 def test_gauss_lemma_not_coprime():

@@ -102,11 +102,10 @@ def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
     traced = splitting.gauss_lemma
 
     def flipped(a, p, system):
-        value, trace = traced(a, p, system)
+        value, rows = traced(a, p, system)
         if p != 7:
-            return value, trace
-        rows = tuple(replace(row, sign=-row.sign) for row in trace.rows)
-        return value, replace(trace, rows=rows)
+            return value, rows
+        return value, tuple(replace(row, sign=-row.sign) for row in rows)
 
     monkeypatch.setattr(splitting, "gauss_lemma", flipped)
     failing = gauss_lemma_suite()
@@ -122,6 +121,23 @@ def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
         for a in range(1, 7)
         for system in systems
     ][:10]
+
+
+def test_gauss_lemma_suite_matches_each_bridge_row_to_the_step_of_its_rep(monkeypatch):
+    passing = gauss_lemma_suite()
+    assert passing.passed
+    transfer = splitting.transfer
+
+    def reversed_steps(U, g, decomposition=None):
+        result = transfer(U, g, decomposition)
+        return replace(result, contributions=result.contributions[::-1])
+
+    monkeypatch.setattr(splitting, "transfer", reversed_steps)
+    failing = gauss_lemma_suite()
+    assert failing.checks == passing.checks
+    # The signs in reverse are the same multiset; only the row-by-row match catches the fault.
+    # At p = 3 there is one coset, so its single step reversed is itself.
+    assert failing.failures[0] == "bridge mismatch at p=5, a=1, A=(1, 2)"
 
 
 def test_qr_splitting_catches_non_squares_at_7(monkeypatch):
