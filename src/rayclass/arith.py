@@ -57,8 +57,6 @@ def require_odd_prime(p: int) -> None:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle-finding variant)."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         x = y = 2

@@ -323,7 +323,7 @@ def _witness_bfs(
                 if nr == target:
                     return _collect_exponents(paths[nr])
                 queue.append(nr)
-    return paths.get(target) and _collect_exponents(paths[target])
+    return None
 
 
 def _collect_exponents(path: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:

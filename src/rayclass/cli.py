@@ -56,8 +56,8 @@ def cmd_symbol(args) -> int:
             trace = {
                 "half_system": list(system.elements),
                 "rows": [
-                    {"j": r.index, "product": r.product, "sign": r.sign, "target": r.target}
-                    for r in rows
+                    {"j": j, "product": r.product, "sign": r.sign, "target": r.target}
+                    for j, r in enumerate(rows)
                 ],
             }
     elif args.kind == "jacobi":
@@ -91,7 +91,7 @@ def cmd_transfer(args) -> int:
             "r_j": G.label_of(dec.reps[j]),
             "u": G.label_of(u),
         }
-        for i, j, u in result.contributions
+        for i, (j, u) in enumerate(result.contributions)
     ]
     record = _record(
         "transfer",

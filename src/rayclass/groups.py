@@ -178,7 +178,7 @@ class TransferResult:
     """Transfer value (canonical rep of the coset mod U') plus the per-rep trace."""
 
     value: int
-    contributions: tuple[tuple[int, int, int], ...]  # (rep index i, target index j, u in U)
+    contributions: tuple[tuple[int, int], ...]  # (target index j, u in U) for each rep r_i, in rep order
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = Non
     record: list[tuple[int, int]] = []
     products = _transfer_products(G, decomposition, (g,), record)
     canonical, position = decomposition.canonical, decomposition.position
-    contributions = tuple([(i, position[canonical[x]], u) for i, (x, u) in enumerate(record)])
+    contributions = tuple([(position[canonical[x]], u) for x, u in record])
     return TransferResult(value=_reduce_mod(products, U.derived)[0], contributions=contributions)
 
 

@@ -156,26 +156,11 @@ def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
     return sq, Quadratic(FundamentalDiscriminant(pstar(p)))
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    """Transfer-vs-Gauss-Lemma comparison over one half-system."""
+def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> bool:
+    """True when the transfer to {+-1}, with the half-system as coset reps, is Gauss's Lemma step by step.
 
-    transfer_value: int                       # +-1
-    transfer_signs: tuple[int, ...]           # u_j mapped to +-1, in rep order
-    gauss_signs: tuple[int, ...]              # s_j in half-system order
-    signs_match: bool                         # row by row: same sign, same target coset
-    values_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.signs_match and self.values_match
-
-
-def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
-    """Run the transfer to {+-1} with the half-system as coset reps, next to Gauss's Lemma.
-
-    With U = {+-1} and rep r_i = a_i, the coset step a*a_i = a_j*u_i is the Gauss row
-    a*a_i = s_i*a_{pi(i)}: each step must match the row of its rep in sign and target.
+    With U = {+-1} and rep r_j = a_j, the coset step a*a_j = a_k*u is the Gauss row
+    a*a_j = s_j*a_{pi(j)}: step j must be (pi(j), s_j), and the value must be the symbol.
     """
     symbol, rows = gauss_lemma(a, p, system)
     G, U = _transfer_setup(p)
@@ -183,18 +168,9 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> BridgeReport:
     dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
     result = transfer(U, G.id_of(a % p), dec)
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
-    steps = result.contributions
-    transfer_value = to_sign[result.value]
-    return BridgeReport(
-        transfer_value=transfer_value,
-        transfer_signs=tuple(to_sign[u] for _, _, u in steps),
-        gauss_signs=tuple(row.sign for row in rows),
-        signs_match=len(steps) == len(rows) and all(
-            row.index == i and row.target == j and row.sign == to_sign[u]
-            for row, (i, j, u) in zip(rows, steps)
-        ),
-        values_match=transfer_value == symbol,
-    )
+    return to_sign[result.value] == symbol and [(row.target, row.sign) for row in rows] == [
+        (j, to_sign[u]) for j, u in result.contributions
+    ]
 
 
 @dataclass(frozen=True)

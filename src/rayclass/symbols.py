@@ -35,22 +35,22 @@ class HalfSystem:
             raise InvalidHalfSystemError(
                 f"expected {m} elements for p={self.p}, got {len(self.elements)}"
             )
-        seen = self.members
+        seen = self.positions.keys()
         if len(seen) != m or seen | {self.p - a for a in seen} != set(range(1, self.p)):
             raise InvalidHalfSystemError(
                 f"{self.elements} does not represent each pair {{a, -a}} mod {self.p} exactly once"
             )
 
     @cached_property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.elements)
+    def positions(self) -> dict[int, int]:
+        """a_j -> j, the position of each element."""
+        return {aj: j for j, aj in enumerate(self.elements)}
 
 
 @dataclass(frozen=True)
 class GaussLemmaRow:
-    """One congruence a*a_j = sign * a_{target} mod p."""
+    """One congruence a*a_j = sign * a_{target} mod p; row j of a trace belongs to a_j."""
 
-    index: int
     product: int  # a * a_j reduced to [1, p-1]
     sign: int
     target: int
@@ -93,10 +93,10 @@ def gauss_lemma_sign(a: int, p: int, system: HalfSystem) -> int:
     outside the half-system.  Same value and argument checks as `gauss_lemma`.
     """
     _check_gauss_args(a, p, system)
-    members = system.members
+    positions = system.positions
     sign = 1
     for aj in system.elements:
-        if a * aj % p not in members:
+        if a * aj % p not in positions:
             sign = -sign
     return sign
 
@@ -107,16 +107,16 @@ def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, tuple[GaussLem
     Callers that need only the value use `gauss_lemma_sign`, which builds no rows.
     """
     _check_gauss_args(a, p, system)
-    positions = {res: j for j, res in enumerate(system.elements)}
+    positions = system.positions
     rows = []
     sign_product = 1
-    for j, aj in enumerate(system.elements):
+    for aj in system.elements:
         t = a * aj % p
         if t in positions:
             sign, target = 1, positions[t]
         else:
             sign, target = -1, positions[p - t]
-        rows.append(GaussLemmaRow(index=j, product=t, sign=sign, target=target))
+        rows.append(GaussLemmaRow(product=t, sign=sign, target=target))
         sign_product *= sign
     return sign_product, tuple(rows)
 

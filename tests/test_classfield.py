@@ -22,6 +22,7 @@ from rayclass.classfield import (
     takagi_group_cyclotomic,
     takagi_group_quadratic,
     takagi_witness,
+    witness_fraction,
 )
 from rayclass.errors import (
     InvalidArgumentError,
@@ -171,6 +172,14 @@ def test_takagi_witness_examples():
         takagi_witness(2, 5)
     with pytest.raises(NotCoprimeError):
         takagi_witness(5, 5)
+
+
+def test_takagi_witness_falls_back_to_the_split_prime_search():
+    # Below 20 no split prime lies in a's class mod |d|, so the breadth-first walk finds the witness.
+    witness = takagi_witness(4, -11, 20)
+    assert witness == ((3, -1),)
+    assert witness_fraction(4, witness) == (12, 1)
+    assert takagi_witness(12, 13, 20) == ((3, 1), (17, 1))
 
 
 def test_takagi_witness_reverifies():

@@ -58,6 +58,17 @@ def test_symbol_gauss_lemma_trace(capsys):
     assert [r["sign"] for r in record["trace"]["rows"]] == [1, -1, 1]
 
 
+@pytest.mark.parametrize("a, p, value", [(3, 7, -1), (2, 7, 1), (5, 11, 1), (2, 13, -1), (45, 31, 1)])
+def test_symbol_legendre_methods_agree(capsys, a, p, value):
+    for method in ("brute", "euler", "gauss-lemma"):
+        code, out, _ = run(
+            capsys, "symbol", "--kind", "legendre", "--a", str(a), "--n", str(p),
+            "--method", method, "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == value, method
+
+
 def test_symbol_json_deterministic(capsys):
     args = ("symbol", "--kind", "jacobi", "--a", "2", "--n", "15", "--json")
     _, out1, _ = run(capsys, *args)

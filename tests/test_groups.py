@@ -402,7 +402,7 @@ def test_caller_transversal_relabels_the_canonical_lookup():
                 for g in G.elements:
                     result = transfer(U, g, dec)
                     assert result.value == expected[g]
-                    for i, j, u in result.contributions:
+                    for i, (j, u) in enumerate(result.contributions):
                         assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
 
 
@@ -448,7 +448,7 @@ def test_one_loop_serves_every_transfer_path(monkeypatch):
         for g in G.elements:
             result = transfer(U, g)
             prod = G.identity
-            for _, _, u in result.contributions:
+            for _, u in result.contributions:
                 prod = G.op(prod, u)
             assert result.value == min(G.op(prod, d) for d in U.derived.members)
         with monkeypatch.context() as m:
@@ -493,7 +493,7 @@ def test_transfer_examples():
     result = transfer(U, G.id_of(3), dec)
     assert G.label_of(result.value) == 6
     # each contribution solves g*r_i = r_j*u in the table
-    for i, j, u in result.contributions:
+    for i, (j, u) in enumerate(result.contributions):
         assert G.op(G.id_of(3), dec.reps[i]) == G.op(dec.reps[j], u)
         assert u in U
 

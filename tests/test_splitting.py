@@ -9,8 +9,13 @@ from rayclass.classfield import (
     squares_group,
     takagi_group_quadratic,
 )
-from rayclass.errors import NotCoprimeError, RamifiedError
-from rayclass.groups import group_from_unit_residues, subgroup_generated
+from rayclass.errors import InvalidArgumentError, NotCoprimeError, RamifiedError
+from rayclass.groups import (
+    decomposition_from_reps,
+    group_from_unit_residues,
+    subgroup_generated,
+    transfer,
+)
 from rayclass.splitting import (
     Cyclotomic,
     CyclotomicSubfield,
@@ -28,6 +33,7 @@ from rayclass.splitting import (
 )
 from rayclass.symbols import (
     default_half_system,
+    gauss_lemma,
     kronecker,
     legendre_brute,
     pstar,
@@ -128,6 +134,44 @@ def test_spl_sets():
     assert spl_set(fld, 60) == [q for q in primes_up_to(60) if q != 7 and kronecker(-7, q) == 1]
 
 
+def _squares_mod_7():
+    G = group_from_unit_residues(7)
+    return subgroup_generated(G, {G.id_of(2)})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: splitting_quadratic(4, 5), InvalidArgumentError, "4 is not prime"),
+        (lambda: splitting_cyclotomic(4, 12), InvalidArgumentError, "4 is not prime"),
+        (
+            lambda: splitting_in_subfield(4, 7, _squares_mod_7()),
+            InvalidArgumentError,
+            "4 is not prime",
+        ),
+        (
+            lambda: splits_completely_in_class_field(4, squares_group(5)),
+            InvalidArgumentError,
+            "4 is not prime",
+        ),
+        (lambda: splitting_cyclotomic(5, 2), InvalidArgumentError, "need m >= 3, got 2"),
+        (lambda: qr_via_transfer(7, 7), InvalidArgumentError, "primes must be distinct"),
+        (lambda: qr_via_splitting(7, 7), InvalidArgumentError, "primes must be distinct"),
+        (lambda: transfer_sign(7, 14), NotCoprimeError, "14 is not coprime to 7"),
+        (
+            lambda: spl_set(Quadratic(FundamentalDiscriminant(5)), 1),
+            InvalidArgumentError,
+            "bound must be >= 2, got 1",
+        ),
+    ],
+)
+def test_splitting_api_raises_typed_errors(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 def test_transfer_kernel_classfield():
     H, fld = transfer_kernel_classfield(3)
     assert len(H.labels) == 1 and fld.d.d == -3
@@ -140,13 +184,18 @@ def test_transfer_kernel_classfield():
 
 
 def test_gauss_lemma_is_transfer():
-    report = gauss_lemma_is_transfer(7, 1, default_half_system(7))
-    assert report.ok and report.transfer_value == 1
-    report = gauss_lemma_is_transfer(7, 3, default_half_system(7))
-    assert report.ok and report.transfer_value == -1
-    assert report.transfer_signs == report.gauss_signs == (1, -1, 1)
-    report = gauss_lemma_is_transfer(7, 2, default_half_system(7))
-    assert report.ok and report.transfer_signs == report.gauss_signs == (1, -1, -1)
+    # The half-system {1, 2, 3} as the transversal of U = {+-1} in (Z/7)^x.
+    system = default_half_system(7)
+    G = group_from_unit_residues(7)
+    U = subgroup_generated(G, {G.id_of(6)})
+    dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
+    for a, value, signs in ((1, 1, (1, 1, 1)), (3, -1, (1, -1, 1)), (2, 1, (1, -1, -1))):
+        assert gauss_lemma_is_transfer(7, a, system) is True
+        symbol, rows = gauss_lemma(a, 7, system)
+        assert (symbol, tuple(r.sign for r in rows)) == (value, signs)
+        result = transfer(U, G.id_of(a), dec)
+        assert G.label_of(result.value) == value % 7
+        assert tuple(1 if u == G.identity else -1 for _, u in result.contributions) == signs
 
 
 def test_gauss_lemma_is_transfer_random_systems():
@@ -154,7 +203,7 @@ def test_gauss_lemma_is_transfer_random_systems():
     for p in (5, 11, 23):
         for a in range(1, p):
             for _ in range(5):
-                assert gauss_lemma_is_transfer(p, a, random_half_system(p, rng)).ok
+                assert gauss_lemma_is_transfer(p, a, random_half_system(p, rng)) is True
 
 
 def test_qr_via_splitting_examples():

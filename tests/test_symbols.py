@@ -65,11 +65,10 @@ def test_gauss_lemma_trace_invariants():
         for system in (default_half_system(p), random_half_system(p, rng)):
             for a in range(1, p):
                 value, rows = gauss_lemma(a, p, system)
-                assert [r.index for r in rows] == list(range(len(system.elements)))
                 targets = [r.target for r in rows]
                 assert sorted(targets) == list(range(len(system.elements)))
-                for r in rows:
-                    lhs = a * system.elements[r.index] % p
+                for aj, r in zip(system.elements, rows, strict=True):
+                    lhs = a * aj % p
                     assert lhs == r.sign * system.elements[r.target] % p
                 prod = 1
                 for r in rows:

@@ -138,6 +138,9 @@ def test_gauss_lemma_suite_matches_each_bridge_row_to_the_step_of_its_rep(monkey
     # The signs in reverse are the same multiset; only the row-by-row match catches the fault.
     # At p = 3 there is one coset, so its single step reversed is itself.
     assert failing.failures[0] == "bridge mismatch at p=5, a=1, A=(1, 2)"
+    assert failing.summary() == (
+        "[FAIL] gauss-lemma: 630 checks, first failure: bridge mismatch at p=5, a=1, A=(1, 2)"
+    )
 
 
 def test_qr_splitting_catches_non_squares_at_7(monkeypatch):
