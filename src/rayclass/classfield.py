@@ -304,7 +304,7 @@ def _split_primes(d: int, bound: int) -> tuple[int, ...]:
 
 
 def _witness_bfs(
-    target: int, dd: int, split_primes: list[int]
+    target: int, dd: int, split_primes: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
     """BFS over residues mod dd, multiplying by split primes or their inverses."""
     gens = split_primes[:64]

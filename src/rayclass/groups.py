@@ -10,16 +10,17 @@ reads each small table so often that computing the products slowed the suite
 by a fifth, and builds each stored table only when it checks that group.  The
 transfer of g from G to a subgroup U is computed by the literal coset formula:
 pick representatives r_i, solve g*r_i = r_j * u_j with u_j in U, and multiply
-the u_j modulo the commutator subgroup of U.  Each subgroup keeps one
-canonical decomposition (`CanonicalCosets`): the lookup element -> canonical
-coset, and the table solutions[x] = u solving x = r*u for x's canonical rep r,
-both filled by the one walk over the cosets.  On it each step reads u_j from
-the table.  A caller's transversal adds only a position and an inverse rep per
-coset, so u_j = r_j^-1 * (g*r_i) costs O(1) per coset; tabulating it would cost
-|G| per transversal.  One loop multiplies the u_j for a batch of elements:
-`transfer` runs it for one g and returns the value with its per-coset trace,
-`transfer_values` runs it for a batch and returns the values alone, and
-`transfer_homomorphism` is `transfer_values` over all of G.
+the u_j modulo the commutator subgroup of U; the r_i are the caller's, one per
+coset in any order, or U's canonical ones.  Each subgroup keeps one canonical
+`CosetDecomposition`: the lookup element -> canonical coset, and the table
+solutions[x] = u solving x = r*u for x's canonical rep r, both filled by the one
+walk over the cosets, so each step reads u_j from the table.  A caller's
+transversal adds only a position and an inverse rep per coset: u_j = r_j^-1 *
+(g*r_i) costs O(1) per coset, and a table would cost |G| per transversal.  One
+loop multiplies the u_j for a batch of elements: `transfer` runs it for one g
+and returns the value with its per-coset trace, `transfer_values` runs it for a
+batch and returns the values alone, and `transfer_homomorphism` is
+`transfer_values` over all of G.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ class CosetDecomposition:
     canonical[g] = c names g's canonical coset (U's own lookup, shared by every
     transversal of U); position[c] = i and inverse_reps[c] = r_i^-1 for its rep
     r_i here.  Only reps and the two per-coset tuples belong to one transversal.
+    U's canonical decomposition also holds solutions[x] = u in U with x = r*u, r the canonical
+    rep of x's coset, one store per x in the walk that builds the lookup; a caller's has None.
     """
 
     # No field refers back to U, which caches its decomposition: that cycle would wait for the GC.
@@ -159,18 +162,7 @@ class CosetDecomposition:
     canonical: tuple[int, ...]
     position: tuple[int, ...]
     inverse_reps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CanonicalCosets(CosetDecomposition):
-    """U's canonical decomposition, with the coset equation solved for every element.
-
-    solutions[x] = u for x = r*u, r the canonical rep of x's coset and u in U; the
-    walk that builds the lookup visits each x as r*u, so this costs one store apiece.
-    A caller's transversal has no such table: it would cost |G| per transversal.
-    """
-
-    solutions: tuple[int, ...]
+    solutions: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -352,7 +344,7 @@ def _require_elements(G: FiniteGroup, ids: tuple[int, ...]) -> None:
             raise InvalidArgumentError(f"{x} is not an element of the group of order {G.order}")
 
 
-def coset_decomposition(U: Subgroup) -> CanonicalCosets:
+def coset_decomposition(U: Subgroup) -> CosetDecomposition:
     """Canonical decomposition of U.parent: least element id per left coset, reps ascending."""
     G = U.parent
     coset_of = [-1] * G.order
@@ -372,7 +364,7 @@ def coset_decomposition(U: Subgroup) -> CanonicalCosets:
     if -1 in coset_of:
         raise InvalidArgumentError("cosets do not cover the group")
     inv = G.inverses
-    return CanonicalCosets(
+    return CosetDecomposition(
         reps=tuple(reps),
         canonical=tuple(coset_of),
         position=tuple(range(len(reps))),
@@ -446,7 +438,7 @@ def _transfer_products(
     reps = decomposition.reps
     canonical = decomposition.canonical
     inverse_reps = decomposition.inverse_reps
-    solutions = decomposition.solutions if isinstance(decomposition, CanonicalCosets) else None
+    solutions = decomposition.solutions
     identity = G.identity
     products = []
     for g in gs:
@@ -469,12 +461,14 @@ def _transfer_products(
     return products
 
 
-def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = None) -> TransferResult:
-    """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U' and the trace."""
+def transfer(U: Subgroup, g: int, reps: tuple[int, ...] | None = None) -> TransferResult:
+    """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U' and the trace.
+
+    reps holds one r_i per coset of U, in any order; None takes U's canonical reps.
+    """
     G = U.parent
+    decomposition = U.cosets if reps is None else decomposition_from_reps(U, reps)
     _require_elements(G, (g,))
-    if decomposition is None:
-        decomposition = U.cosets
     record: list[tuple[int, int]] = []
     products = _transfer_products(G, decomposition, (g,), record)
     canonical, position = decomposition.canonical, decomposition.position
@@ -482,19 +476,16 @@ def transfer(U: Subgroup, g: int, decomposition: CosetDecomposition | None = Non
     return TransferResult(value=_reduce_mod(products, U.derived)[0], contributions=contributions)
 
 
-def transfer_values(
-    U: Subgroup, gs: Iterable[int], decomposition: CosetDecomposition | None = None
-) -> tuple[int, ...]:
-    """transfer(U, g, decomposition).value for each g in gs, with no trace built.
+def transfer_values(U: Subgroup, gs: Iterable[int], reps: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """transfer(U, g, reps).value for each g in gs, with no trace built.
 
     gs is read once; the batch shares one element check, one pass of the product loop
     and one reduction mod U'.
     """
     G = U.parent
+    decomposition = U.cosets if reps is None else decomposition_from_reps(U, reps)
     gs = tuple(gs)
     _require_elements(G, gs)
-    if decomposition is None:
-        decomposition = U.cosets
     return _reduce_mod(_transfer_products(G, decomposition, gs), U.derived)
 
 

@@ -18,7 +18,6 @@ from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprime
 from .groups import (
     Subgroup,
     coset_order,
-    decomposition_from_reps,
     kernel_of,
     subgroup_generated,
     transfer,
@@ -165,8 +164,7 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> bool:
     symbol, rows = gauss_lemma(a, p, system)
     G, U = _transfer_setup(p)
     # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a transversal.
-    dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
-    result = transfer(U, G.id_of(a % p), dec)
+    result = transfer(U, G.id_of(a % p), tuple(G.id_of(aj) for aj in system.elements))
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     return to_sign[result.value] == symbol and [(row.target, row.sign) for row in rows] == [
         (j, to_sign[u]) for j, u in result.contributions

@@ -342,7 +342,7 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
             expected = tuple(hom.values[g] for g in sample)
             cosets = [[row[u] for u in U.members] for row in (G.table[r] for r in U.cosets.reps)]
             for reps in _distinct_transversals(rng, cosets, 50):
-                values = groups.transfer_values(U, sample, groups.decomposition_from_reps(U, reps))
+                values = groups.transfer_values(U, sample, reps)
                 if values != expected:
                     g = next(g for g, v, w in zip(sample, values, expected) if v != w)
                     bad.append(f"|G|={G.order}, U={U.members}: transfer({g}) depends on reps")

@@ -118,6 +118,21 @@ def test_mult_order_not_coprime():
         mult_order(6, 9)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: euler_phi(0), "euler_phi requires n >= 1, got 0"),
+        (lambda: mult_order(3, 1), "modulus must be >= 2, got 1"),
+    ],
+    ids=["euler_phi", "mult_order"],
+)
+def test_arith_raises_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        call()
+    assert type(excinfo.value) is InvalidArgumentError
+    assert str(excinfo.value) == message
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -29,6 +29,7 @@ from rayclass.errors import (
     InvalidDiscriminantError,
     NotCoprimeError,
     NotInTakagiGroupError,
+    TooLargeError,
 )
 from rayclass.groups import FiniteGroup, coset_order, group_from_unit_residues, subgroup_generated
 from rayclass.splitting import qr_via_splitting, splits_completely_in_class_field
@@ -180,6 +181,27 @@ def test_takagi_witness_falls_back_to_the_split_prime_search():
     assert witness == ((3, -1),)
     assert witness_fraction(4, witness) == (12, 1)
     assert takagi_witness(12, 13, 20) == ((3, 1), (17, 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: takagi_group_cyclotomic(2),
+            InvalidArgumentError,
+            "cyclotomic construction needs m >= 3, got 2",
+        ),
+        (lambda: first_inequality_check(squares_group(5), 0), InvalidArgumentError, "degree must be positive, got 0"),
+        (lambda: takagi_witness(0, 5), InvalidArgumentError, "need a positive integer, got 0"),
+        (lambda: ray_class_group(Modulus(8191)), TooLargeError, "phi(8191) exceeds the table bound 4096"),
+    ],
+    ids=["takagi_group_cyclotomic", "first_inequality_check", "takagi_witness", "ray_class_group"],
+)
+def test_classfield_api_raises_typed_errors(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_takagi_witness_reverifies():

@@ -262,6 +262,25 @@ def test_non_integer_token_exits_2(capsys, argv):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (["quadratic", "5", "8"], "--field quadratic needs exactly one discriminant"),
+        (["cyclotomic"], "--field cyclotomic needs exactly one m"),
+        (["subfield", "7"], "--field subfield needs m and comma-separated generators"),
+        (["cubic", "5"], "unknown field variant 'cubic'"),
+    ],
+    ids=["quadratic", "cyclotomic", "subfield", "unknown"],
+)
+def test_splitting_field_usage_errors_exit_2(capsys, field, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["splitting", "--field", *field, "--prime", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["jacobi", "kronecker"])
 @pytest.mark.parametrize("method", ["brute", "euler", "gauss-lemma"])
 def test_method_without_legendre_exits_2(capsys, kind, method):

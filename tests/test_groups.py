@@ -304,6 +304,23 @@ def test_coset_decomposition():
     assert [G.label_of(r) for r in dec.reps] == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cyclic_group(0), "cyclic group order must be >= 1, got 0"),
+        (lambda: subgroup_generated(cyclic_group(4), {4}), "generators {4} are not all elements of the group"),
+        # {1} holds no identity: its "cosets" {1} and {3} miss 0 and 2.
+        (lambda: coset_decomposition(Subgroup(cyclic_group(4), (1,))), "cosets do not cover the group"),
+    ],
+    ids=["cyclic_group", "subgroup_generated", "coset_decomposition"],
+)
+def test_group_builders_raise_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        call()
+    assert type(excinfo.value) is InvalidArgumentError
+    assert str(excinfo.value) == message
+
+
 def test_decomposition_from_reps_validates():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
@@ -354,7 +371,7 @@ def test_canonical_cosets_tabulate_the_coset_equation(build):
     G = build()
     for U in all_subgroups(G):
         cosets = U.cosets
-        assert isinstance(cosets, groups.CanonicalCosets) and len(cosets.solutions) == G.order
+        assert cosets.solutions is not None and len(cosets.solutions) == G.order
         for x in G.elements:
             u = cosets.solutions[x]
             assert u in U and G.op(cosets.reps[cosets.canonical[x]], u) == x
@@ -400,16 +417,16 @@ def test_caller_transversal_relabels_the_canonical_lookup():
                     next(i for i, coset in enumerate(cosets) if x in coset) for x in G.elements
                 )
                 for g in G.elements:
-                    result = transfer(U, g, dec)
+                    result = transfer(U, g, dec.reps)
                     assert result.value == expected[g]
                     for i, (j, u) in enumerate(result.contributions):
                         assert u in U and G.op(g, reps[i]) == G.op(reps[j], u)
 
 
 def test_transfer_values_are_the_traced_transfer_values():
-    for U, _, dec in shuffled_transversals():
+    for U, reps, _ in shuffled_transversals():
         elements = U.parent.elements
-        assert transfer_values(U, elements, dec) == tuple(transfer(U, g, dec).value for g in elements)
+        assert transfer_values(U, elements, reps) == tuple(transfer(U, g, reps).value for g in elements)
         assert transfer_values(U, elements) == tuple(transfer(U, g).value for g in elements)
 
 
@@ -423,11 +440,11 @@ def test_transfer_values_match_transfer_on_every_subgroup():
         for U in all_subgroups(G):
             for _ in range(3):
                 reps = tuple(G.op(r, rng.choice(U.members)) for r in U.cosets.reps)
-                for dec in (None, decomposition_from_reps(U, reps)):
-                    expected = tuple(transfer(U, g, dec).value for g in elements)
-                    assert transfer_values(U, elements, dec) == expected
-                    assert transfer_values(U, (g for g in elements), dec) == expected
-                    assert transfer_values(U, elements[::-1], dec) == expected[::-1]
+                for chosen in (None, reps):
+                    expected = tuple(transfer(U, g, chosen).value for g in elements)
+                    assert transfer_values(U, elements, chosen) == expected
+                    assert transfer_values(U, (g for g in elements), chosen) == expected
+                    assert transfer_values(U, elements[::-1], chosen) == expected[::-1]
 
 
 def test_one_loop_serves_every_transfer_path(monkeypatch):
@@ -467,9 +484,9 @@ def test_caller_transversal_shares_the_canonical_lookup():
         for c, i in enumerate(dec.position):
             assert G.op(dec.inverse_reps[c], reps[i]) == G.identity
         # O(index) per transversal: every field but the shared lookup has one entry per coset.
-        assert {k: len(v) for k, v in vars(dec).items() if k != "canonical"} == dict.fromkeys(
-            ("reps", "position", "inverse_reps"), U.index
-        )
+        assert dec.solutions is None
+        sizes = {k: len(v) for k, v in vars(dec).items() if k not in ("canonical", "solutions")}
+        assert sizes == dict.fromkeys(("reps", "position", "inverse_reps"), U.index)
 
 
 def test_subgroup_and_its_cached_cosets_form_no_cycle():
@@ -489,8 +506,8 @@ def test_transfer_examples():
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
     dec = coset_decomposition(U)
-    assert transfer(U, G.identity, dec).value == G.identity
-    result = transfer(U, G.id_of(3), dec)
+    assert transfer(U, G.identity, dec.reps).value == G.identity
+    result = transfer(U, G.id_of(3), dec.reps)
     assert G.label_of(result.value) == 6
     # each contribution solves g*r_i = r_j*u in the table
     for i, (j, u) in enumerate(result.contributions):
@@ -547,6 +564,28 @@ def test_transfer_surjective_on_cyclic():
             assert set(hom.values) == U.member_set
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda U, reps, g: transfer(U, g, reps),
+        lambda U, reps, g: transfer_values(U, (0, g), reps),
+    ],
+    ids=["transfer", "transfer_values"],
+)
+def test_transfer_rejects_reps_that_are_not_a_transversal_of_its_subgroup(call):
+    # U1 = <-1> has six cosets in (Z/13)^x.  The four canonical reps of U2 = <3>, and the
+    # five ids of Z/5, each meet fewer of them.  Read through U2's own coset lookup, U2's
+    # reps would give V(2) = 3, outside U1; through Z/5's, an IndexError.
+    G = group_from_unit_residues(13)
+    U1 = subgroup_generated(G, {G.id_of(12)})
+    U2 = subgroup_generated(G, {G.id_of(3)})
+    for reps in (U2.cosets.reps, tuple(cyclic_group(5).elements)):
+        # The transversal is checked before the element, so a bad id does not outrank it.
+        for g in (G.id_of(2), G.order):
+            with pytest.raises(InvalidArgumentError, match="^cosets do not cover the group$"):
+                call(U1, reps, g)
+
+
 def test_transfer_rep_independence():
     rng = random.Random(5)
     G = group_from_unit_residues(13)
@@ -555,9 +594,8 @@ def test_transfer_rep_independence():
     expected = transfer_homomorphism(U).values
     for _ in range(50):
         reps = tuple(G.op(r, U.members[rng.randrange(U.order)]) for r in canonical.reps)
-        dec = decomposition_from_reps(U, reps)
         for g in G.elements:
-            assert transfer(U, g, dec).value == expected[g]
+            assert transfer(U, g, reps).value == expected[g]
 
 
 def test_transfer_nonabelian_reduces_mod_derived():

@@ -11,7 +11,6 @@ from rayclass.classfield import (
 )
 from rayclass.errors import InvalidArgumentError, NotCoprimeError, RamifiedError
 from rayclass.groups import (
-    decomposition_from_reps,
     group_from_unit_residues,
     subgroup_generated,
     transfer,
@@ -188,12 +187,12 @@ def test_gauss_lemma_is_transfer():
     system = default_half_system(7)
     G = group_from_unit_residues(7)
     U = subgroup_generated(G, {G.id_of(6)})
-    dec = decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
+    reps = tuple(G.id_of(aj) for aj in system.elements)
     for a, value, signs in ((1, 1, (1, 1, 1)), (3, -1, (1, -1, 1)), (2, 1, (1, -1, -1))):
         assert gauss_lemma_is_transfer(7, a, system) is True
         symbol, rows = gauss_lemma(a, 7, system)
         assert (symbol, tuple(r.sign for r in rows)) == (value, signs)
-        result = transfer(U, G.id_of(a), dec)
+        result = transfer(U, G.id_of(a), reps)
         assert G.label_of(result.value) == value % 7
         assert tuple(1 if u == G.identity else -1 for _, u in result.contributions) == signs
 
