@@ -1,8 +1,10 @@
 """Exact integer arithmetic substrate: primality, factorization, totients, orders.
 
-Everything here is deterministic and exact.  Primality is decided by
-Miller-Rabin on the first 13 prime bases, which is exact below psi_13 ~ 3.3e24;
-larger inputs raise TooLargeError rather than get a probable answer.
+Everything here is deterministic and exact.  Primality is decided by trial
+division by the first 13 primes, which settles every n below 43^2, and above
+that by Miller-Rabin on the same 13 prime bases, which is exact below
+psi_13 ~ 3.3e24; larger inputs raise TooLargeError rather than get a probable
+answer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ _TRIAL_BOUND = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test (deterministic Miller-Rabin) for n < PSI_13.
+    """Exact primality test (trial division, then deterministic Miller-Rabin) for n < PSI_13.
 
     Raises TooLargeError for n >= PSI_13, where the witness set is not proven.
     """
@@ -31,6 +33,9 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        # A composite below 43^2 has a prime factor at most 41, which the loop found.
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

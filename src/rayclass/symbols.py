@@ -3,6 +3,15 @@
 The three Legendre routes (square enumeration, Euler's criterion, the
 half-system sign product) are deliberately kept independent of each other so
 that they can serve as oracles for one another.
+
+Gauss's Lemma is (a/p) = (-1)^#{x in A : a*x mod p not in A} for a half-system
+A.  The traced `gauss_lemma` takes that count one a_j at a time.
+`gauss_lemma_sign` takes the same count in discrete-log coordinates: with A as
+a (p-1)-bit mask holding bit log(x) for each x in A, rotating the mask by
+k = log(a) gives the mask of a*A, and the bits it shares with A number
+|a*A & A|.  It never reads the parity of k: (-1)^k is Euler's criterion in log
+form, and a sign taken from it would ignore A and make the half-system
+independence checks a tautology.
 """
 
 from __future__ import annotations
@@ -45,6 +54,25 @@ class HalfSystem:
     def positions(self) -> dict[int, int]:
         """a_j -> j, the position of each element."""
         return {aj: j for j, aj in enumerate(self.elements)}
+
+    @cached_property
+    def log_mask(self) -> tuple[dict[int, int], int]:
+        """(x -> log_g x on (Z/p)^x, the (p-1)-bit mask with bit log_g(x) set for each x in A).
+
+        g is the least residue whose power walk from 1 visits all p-1 units;
+        the walk itself shows that g generates, so no order or factorization
+        is needed.
+        """
+        p = self.p
+        for g in range(2, p):
+            log = {}
+            x = 1
+            while x not in log:
+                log[x] = len(log)
+                x = x * g % p
+            if len(log) == p - 1:
+                break
+        return log, sum(1 << log[x] for x in self.elements)
 
 
 @dataclass(frozen=True)
@@ -90,15 +118,17 @@ def gauss_lemma_sign(a: int, p: int, system: HalfSystem) -> int:
     """Legendre symbol as the product of half-system signs, without a trace.
 
     The sign is -1 exactly when an odd number of the products a*a_j mod p fall
-    outside the half-system.  Same value and argument checks as `gauss_lemma`.
+    outside the half-system A.  That number is len(A) - |a*A & A|, counted as the
+    bits shared by A's log mask and the mask rotated by k = log(a) in p-1 bits;
+    the parity of k itself is never read.  Same value and argument checks as
+    `gauss_lemma`.
     """
     _check_gauss_args(a, p, system)
-    positions = system.positions
-    sign = 1
-    for aj in system.elements:
-        if a * aj % p not in positions:
-            sign = -sign
-    return sign
+    log, mask = system.log_mask
+    k = log[a % p]
+    rotated = mask << k | mask >> (p - 1 - k)  # bits from p-1 up fall outside mask
+    outside = len(system.elements) - (rotated & mask).bit_count()
+    return -1 if outside & 1 else 1
 
 
 def gauss_lemma(a: int, p: int, system: HalfSystem) -> tuple[int, tuple[GaussLemmaRow, ...]]:

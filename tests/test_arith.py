@@ -33,6 +33,14 @@ def test_is_prime_examples():
     assert is_prime(7919)
 
 
+def test_is_prime_around_the_trial_division_bound():
+    # Below 43^2 the 13 witness primes decide by division alone.
+    assert not is_prime(1681)  # 41^2
+    assert is_prime(1847)
+    assert not is_prime(1849)  # 43^2, the first composite with no factor <= 41
+    assert not is_prime(1853)  # 17 * 109
+
+
 def test_is_prime_against_sieve():
     flags = sieve_oracle(10**5)
     for n in range(10**5 + 1):

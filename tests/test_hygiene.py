@@ -5,8 +5,8 @@ is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, every
 public function and class is used there or exported, and `rayclass.__all__`
 lists exactly the names `__init__.py` re-exports.  Only the transfer-props
-corpus builds the stored (Z/m)^x table.  No module reads a private attribute
-of `random.Random`.
+corpus builds the stored (Z/m)^x table.  `symbols` takes nothing from `arith`
+but the prime check.  No module reads a private attribute of `random.Random`.
 """
 
 import ast
@@ -136,6 +136,19 @@ def test_only_the_corpus_builds_the_stored_unit_group_table():
         and "group_from_unit_residues" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
     assert calls == []
+
+
+def test_symbols_takes_only_the_prime_check_from_arith():
+    # The Legendre routes must stay independent of orders and factorizations,
+    # so that no mult_order or factorize route can stand in for a count.
+    path = next(p for p in MODULES if p.name == "symbols.py")
+    imported = [
+        f"{stmt.module}.{alias.name}" if isinstance(stmt, ast.ImportFrom) else alias.name
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for alias in stmt.names
+    ]
+    assert [name for name in imported if "arith" in name] == ["arith.require_odd_prime"]
 
 
 # Seeded draws go through Random's public methods; its private helpers may change between releases.

@@ -83,14 +83,51 @@ def test_gauss_lemma_not_coprime():
 
 def test_gauss_lemma_sign_matches_trace_and_brute():
     rng = random.Random(11)
-    for p in primes_up_to(61)[1:]:
+    # 191, 311 and 409 have least primitive roots 19, 17 and 21, so the log
+    # table's generator search passes over many non-generators first.
+    for p in (*primes_up_to(61)[1:], 191, 311, 409):
         systems = [default_half_system(p)] + [random_half_system(p, rng) for _ in range(5)]
-        for system in systems:
-            for a in range(1 - p, 2 * p):
+        for a in range(-2 * p, 2 * p + 1):
+            if a % p == 0:
+                continue
+            expected = legendre_brute(a, p)
+            for system in systems:
+                assert gauss_lemma_sign(a, p, system) == gauss_lemma(a, p, system)[0] == expected
+
+
+@pytest.mark.parametrize("p, g", [(3, 2), (7, 3), (191, 19), (311, 17), (409, 21)])
+def test_half_system_logs_are_to_the_least_primitive_root(p, g):
+    log, mask = default_half_system(p).log_mask
+    assert sorted(log) == list(range(1, p))
+    assert all(log[pow(g, k, p)] == k for k in range(p - 1))
+    assert all((mask >> log[x] & 1) == (x <= (p - 1) // 2) for x in range(1, p))
+
+
+def _unchecked_subset(p, elements):
+    """A HalfSystem holding any subset of (Z/p)^x, built past the half-system check."""
+    subset = object.__new__(HalfSystem)
+    object.__setattr__(subset, "p", p)
+    object.__setattr__(subset, "elements", tuple(elements))
+    return subset
+
+
+def test_gauss_lemma_sign_is_gauss_count_on_any_subset():
+    # On a subset A that is not a half-system the count #{x in A : a*x not in A}
+    # no longer agrees with the Legendre symbol, so a sign read off the
+    # Legendre symbol (such as the parity of log a) fails here.
+    rng = random.Random(13)
+    disagreements = 0
+    for p in (3, 5, 7, 11, 13, 31, 61, 191):
+        for _ in range(8):
+            members = rng.sample(range(1, p), rng.randint(0, p - 1))
+            subset = _unchecked_subset(p, members)
+            for a in range(-p, 2 * p):
                 if a % p == 0:
                     continue
-                expected = legendre_brute(a, p)
-                assert gauss_lemma_sign(a, p, system) == gauss_lemma(a, p, system)[0] == expected
+                outside = sum(a * x % p not in members for x in members)
+                assert gauss_lemma_sign(a, p, subset) == (-1) ** outside
+                disagreements += (-1) ** outside != legendre_brute(a, p)
+    assert disagreements > 0
 
 
 @pytest.mark.parametrize(
@@ -121,7 +158,7 @@ def test_gauss_lemma_sign_calls_no_other_route(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the sign-only Gauss Lemma must not call another route")
 
-    for name in ("legendre_euler", "kronecker", "jacobi"):
+    for name in ("legendre_euler", "legendre_brute", "kronecker", "jacobi"):
         monkeypatch.setattr(symbols, name, forbidden)
     for (a, p), value in expected.items():
         for system in systems[p]:
