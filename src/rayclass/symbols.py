@@ -61,7 +61,8 @@ class HalfSystem:
 
         g is the least residue whose power walk from 1 visits all p-1 units;
         the walk itself shows that g generates, so no order or factorization
-        is needed.
+        is needed.  The mask's bits are set in a byte array and read as one
+        little-endian int, in O(p); summing 1 << log x would be O(p^2).
         """
         p = self.p
         for g in range(2, p):
@@ -72,7 +73,11 @@ class HalfSystem:
                 x = x * g % p
             if len(log) == p - 1:
                 break
-        return log, sum(1 << log[x] for x in self.elements)
+        bits = bytearray((p + 6) // 8)  # p - 1 bits
+        for x in self.elements:
+            k = log[x]
+            bits[k >> 3] |= 1 << (k & 7)
+        return log, int.from_bytes(bits, "little")
 
 
 @dataclass(frozen=True)

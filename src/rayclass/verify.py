@@ -8,12 +8,15 @@ assert on.
 
 from __future__ import annotations
 
+import json
+import os
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, prod
+from typing import Any, NoReturn
 
 from . import classfield, groups, splitting, symbols
 from .arith import euler_phi, factorize, primes_up_to
@@ -25,6 +28,7 @@ from .errors import InvalidHomomorphismError, NotInTakagiGroupError
 from .groups import FiniteGroup, Subgroup
 
 _MAX_REPORTED_FAILURES = 10
+_SIGKILL = 9  # signal.SIGKILL on POSIX; importing signal would lengthen every CLI start
 
 
 @dataclass
@@ -51,6 +55,15 @@ class SuiteResult:
         return line
 
 
+def _fold(result: SuiteResult, outcomes) -> SuiteResult:
+    """Fold each `(checks, failures)` outcome into `result`, in order."""
+    for checks, failures in outcomes:
+        for msg in failures:
+            result.check(False, msg)
+        result.checks += checks - len(failures)
+    return result
+
+
 def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
     """Fold each item's `run(item) -> (checks, failures)` into `result`, in item order.
 
@@ -59,18 +72,81 @@ def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
     at once, so the items are all alive from the start: an item must be cheap
     to hold, and what is costly to hold belongs inside `run`.  Under the GIL the
     pool runs no Python in parallel; transfer-props, where it cost 10-15%,
-    sweeps with threads=1 whatever it is given.
+    runs its sweeps on forked processes instead (`_fork_map`).
     """
     if threads <= 1:
-        outcomes = map(run, items)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, items))
-    for checks, failures in outcomes:
-        for msg in failures:
-            result.check(False, msg)
-        result.checks += checks - len(failures)
-    return result
+        return _fold(result, map(run, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _fold(result, list(pool.map(run, items)))
+
+
+def _run_share(run: Callable[[Any], Any], share: Sequence, write: int) -> NoReturn:
+    """In a forked child: write [run(x) for x in share] as JSON to the pipe end `write`, and exit.
+
+    Never returns, so the child cannot run on into its parent's code; it exits 1,
+    silently, on any error.
+    """
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(json.dumps([run(x) for x in share]).encode())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(run: Callable[[Any], Any], items: Sequence, workers: int) -> list:
+    """[run(x) for x in items], in item order, on up to `workers` forked child processes.
+
+    With w children, child k runs items k, k+w, k+2w, ... and sends its outcomes
+    back as one JSON list through a pipe, so an outcome is built of ints, bools,
+    strings and lists (a tuple comes back as a list).  `run`, the items and
+    whatever wraps the code they call reach the children through the fork:
+    nothing is pickled.  Fork only from a process with no other thread running.
+    w is at most the item count and the CPUs this process may run on; with
+    w <= 1, or without os.fork, the items run here, serially.  Every child is
+    waited for, and is killed first if the parent unwinds early.  If a fork or
+    a child fails, all the items run again here, so an error raised is the one
+    a serial run raises.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    workers = min(workers, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [run(x) for x in items]
+    pending = {}  # pid -> read end of its pipe, for each child not yet waited for
+    shares = []
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _run_share(run, items[k::workers], write)
+            os.close(write)
+            pending[pid] = open(read, "rb")
+        for pid, pipe in list(pending.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[pid]
+            if status == 0:
+                shares.append(json.loads(data))
+    finally:
+        for pid, pipe in pending.items():
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    if len(shares) < workers:
+        return [run(x) for x in items]
+    outcomes: list = [None] * len(items)
+    for k, share in enumerate(shares):
+        outcomes[k::workers] = share
+    return outcomes
 
 
 def _odd_primes(bound: int) -> list[int]:
@@ -312,15 +388,16 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     bound keeps a subset of its groups.
     The corpus is a list of recipes (`_corpus`), filtered by orders known
     before any build; each sweep item builds its group's stored table and
-    drops it on return, so one table is alive at a time.  The sweep runs
-    serially: `threads` is accepted for `run_suite`'s sake and has no effect.
+    drops it on return, so one table is alive at a time in each process.
+    The corpus sweep and the surjectivity sweep each fork up to `threads`
+    worker processes (`_fork_map`); each corpus group draws from its own rng
+    stream, so the result does not depend on `threads`.
     """
     result = SuiteResult("transfer-props", params={"seed": seed})
     builds = [build for order, build in _corpus(seed) if order <= max_order]
 
-    def run(indexed: tuple[int, Callable[[], FiniteGroup]]) -> tuple[int, list[str]]:
-        i, build = indexed
-        G = build()
+    def run(i: int) -> tuple[int, list[str]]:
+        G = builds[i]()
         rng = random.Random(seed + 7919 * i)  # per-group stream
         bad = []
         for U in _all_subgroups(G):
@@ -355,22 +432,21 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                     bad.append(f"|G|={G.order}, U={U.members}: V not a homomorphism")
         return max(1, len(bad)), bad
 
-    _sweep(result, run, enumerate(builds), threads=1)
+    _fold(result, _fork_map(run, range(len(builds)), threads))
 
-    def check_surjective(n: int) -> None:
+    def surjective(n: int) -> tuple[int, list[str]]:
         """Surjectivity onto every subgroup of Z/n; Z/n's table is freed on return."""
         G = groups.cyclic_group(n)
-        for d in sorted({k for k in range(1, n + 1) if n % k == 0}):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        bad = []
+        for d in divisors:
             U = groups.subgroup_generated(G, {d % n})
-            hom = groups.transfer_homomorphism(U)
-            result.check(
-                set(hom.values) == U.member_set,
-                f"transfer Z/{n} -> subgroup of order {U.order} not surjective",
-            )
+            if set(groups.transfer_homomorphism(U).values) != U.member_set:
+                bad.append(f"transfer Z/{n} -> subgroup of order {U.order} not surjective")
+        return len(divisors), bad
 
     # Surjectivity on all subgroups of all cyclic groups up to max_order.
-    for n in range(1, max_order + 1):
-        check_surjective(n)
+    _fold(result, _fork_map(surjective, range(1, max_order + 1), threads))
 
     # Klein four: transfer to every order-2 subgroup is trivial.
     V4 = groups.klein_four_group()

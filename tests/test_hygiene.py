@@ -5,8 +5,9 @@ is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, every
 public function and class is used there or exported, and `rayclass.__all__`
 lists exactly the names `__init__.py` re-exports.  Only the transfer-props
-corpus builds the stored (Z/m)^x table.  `symbols` takes nothing from `arith`
-but the prime check.  No module reads a private attribute of `random.Random`.
+corpus builds the stored (Z/m)^x table, and only `verify._fork_map` forks.
+`symbols` takes nothing from `arith` but the prime check.  No module reads a
+private attribute of `random.Random`.
 """
 
 import ast
@@ -136,6 +137,27 @@ def test_only_the_corpus_builds_the_stored_unit_group_table():
         and "group_from_unit_residues" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
     assert calls == []
+
+
+# A forked child must exit without returning into its caller, and its parent must wait
+# for it on every path; `verify._fork_map` is the one place that sees to both.
+FORK_CALLERS = {"verify.py _fork_map"}
+
+
+def test_only_fork_map_forks():
+    found = set()
+    for path in MODULES:
+        stack = [(ast.parse(path.read_text(), filename=str(path)), "<module>")]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, ast.Call) and "fork" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.add(f"{path.name} {where}")
+            for child in ast.iter_child_nodes(node):
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                stack.append((child, child.name if inner else where))
+    assert found == FORK_CALLERS
 
 
 def test_symbols_takes_only_the_prime_check_from_arith():

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from rayclass import symbols
+from rayclass import symbols, verify
 from rayclass.arith import primes_up_to
 from rayclass.errors import (
     InvalidArgumentError,
@@ -101,6 +101,28 @@ def test_half_system_logs_are_to_the_least_primitive_root(p, g):
     assert sorted(log) == list(range(1, p))
     assert all(log[pow(g, k, p)] == k for k in range(p - 1))
     assert all((mask >> log[x] & 1) == (x <= (p - 1) // 2) for x in range(1, p))
+
+
+def test_half_system_log_mask_is_the_sum_of_its_bits(monkeypatch):
+    # The mask is built from a byte array; the reference is the sum of 1 << log x over A,
+    # on every half-system the gauss-lemma suite draws and on two at p = 99991.
+    drawn = []
+
+    def recorded(make):
+        def made(*args):
+            drawn.append(make(*args))
+            return drawn[-1]
+
+        return made
+
+    monkeypatch.setattr(symbols, "default_half_system", recorded(default_half_system))
+    monkeypatch.setattr(symbols, "random_half_system", recorded(random_half_system))
+    assert verify.gauss_lemma_suite().passed
+    assert {system.p for system in drawn} == {p for p in primes_up_to(211) if p > 2}
+    drawn += [default_half_system(99991), random_half_system(99991, random.Random(5))]
+    for system in drawn:
+        log, mask = system.log_mask
+        assert mask == sum(1 << log[x] for x in system.elements), system.p
 
 
 def _unchecked_subset(p, elements):

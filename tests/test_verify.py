@@ -1,14 +1,17 @@
-"""The verify suites' failure path: counts, failure order and thread invariance.
+"""The verify suites' failure path: counts, failure order and thread and worker invariance.
 
 A fault planted in the layer a suite checks must make it fail with the passing
 run's check count and the expected first failures, in order.
 """
 
+import json
+import os
 import random
-import threading
+import time
 import weakref
 from dataclasses import replace
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -212,17 +215,35 @@ def test_indices_catches_a_wrong_ramification_index(monkeypatch):
     assert failing.failures == ["(q=3, m=9): e*f*g = 7 != phi(m) = 6"]
 
 
-# transfer-props counts one check per group that passes and one per failure
-# otherwise, so a failing run's count differs from the passing run's.
-def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
-    passing = verify.transfer_props_suite(max_order=8)
-    assert passing.passed and passing.checks == 48
+def plant_skipped_last_coset(monkeypatch):
+    """The product loop skips the last coset."""
     products = groups._transfer_products
 
     def skip_last_coset(G, decomposition, gs, record=None):
         return products(G, replace(decomposition, reps=decomposition.reps[:-1]), gs, record)
 
     monkeypatch.setattr(groups, "_transfer_products", skip_last_coset)
+
+
+def plant_rep_dependent_value(monkeypatch):
+    """u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.
+
+    The homomorphism reads U.cosets, whose canonical reps stay right.
+    """
+    decompose = groups.decomposition_from_reps
+
+    def canonical_inverse_reps(U, reps):
+        return replace(decompose(U, reps), inverse_reps=U.cosets.inverse_reps)
+
+    monkeypatch.setattr(groups, "decomposition_from_reps", canonical_inverse_reps)
+
+
+# transfer-props counts one check per group that passes and one per failure
+# otherwise, so a failing run's count differs from the passing run's.
+def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
+    passing = verify.transfer_props_suite(max_order=8)
+    assert passing.passed and passing.checks == 48
+    plant_skipped_last_coset(monkeypatch)
     failing = verify.transfer_props_suite(max_order=8)
     # (Z/3)^x and (Z/4)^x come first, then (Z/5)^x; U = G has the one coset that is skipped.
     assert failing.failures[:3] == [
@@ -235,14 +256,7 @@ def test_transfer_props_catches_a_skipped_last_coset(monkeypatch):
 def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
     passing = verify.transfer_props_suite(max_order=8)
     assert passing.passed
-    decompose = groups.decomposition_from_reps
-
-    def canonical_inverse_reps(U, reps):
-        # u_j = r_c^-1 * g*r_i with r_c the canonical rep, not the caller's r_j.  The
-        # homomorphism reads U.cosets, whose canonical reps stay right.
-        return replace(decompose(U, reps), inverse_reps=U.cosets.inverse_reps)
-
-    monkeypatch.setattr(groups, "decomposition_from_reps", canonical_inverse_reps)
+    plant_rep_dependent_value(monkeypatch)
     failing = verify.transfer_props_suite(max_order=8)
     # For U = G = (Z/3)^x the one rep is a random member of U, so the identity's value moves.
     # Each rep-dependent subgroup fails once: (Z/3)^x, (Z/4)^x, (Z/5)^x, (Z/6)^x, (Z/7)^x, (Z/8)^x.
@@ -259,6 +273,105 @@ def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
         "|G|=4, U=(0, 2): transfer(0) depends on reps",
     ]
     assert failing.checks == 98  # one per failing subgroup, not one per draw
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_transfer_props_gives_the_same_result_on_forked_workers():
+    serial = verify.transfer_props_suite(max_order=64, threads=1)
+    forked = verify.transfer_props_suite(max_order=64, threads=2)
+    assert_no_child_left()
+    assert serial.passed and forked == serial
+
+
+@pytest.mark.parametrize("plant", [plant_skipped_last_coset, plant_rep_dependent_value])
+def test_forked_workers_see_a_planted_fault(monkeypatch, plant):
+    # The fault is patched into the parent after import; the children get it through the fork.
+    plant(monkeypatch)
+    serial = verify.transfer_props_suite(max_order=8, threads=1)
+    forked = verify.transfer_props_suite(max_order=8, threads=2)
+    assert_no_child_left()
+    assert not serial.passed
+    assert (forked.checks, forked.failures) == (serial.checks, serial.failures)
+
+
+class PlantedError(ArithmeticError):
+    pass
+
+
+def test_forked_workers_raise_a_serial_runs_error(monkeypatch):
+    tabulate = groups.transfer_homomorphism
+
+    def fails_at_order_6(U):
+        if U.parent.order == 6:
+            raise PlantedError(f"planted at U={U.members}")
+        return tabulate(U)
+
+    monkeypatch.setattr(groups, "transfer_homomorphism", fails_at_order_6)
+    with pytest.raises(PlantedError) as serial:
+        verify.transfer_props_suite(max_order=8, threads=1)
+    with pytest.raises(PlantedError) as forked:
+        verify.transfer_props_suite(max_order=8, threads=2)
+    assert_no_child_left()
+    assert str(forked.value) == str(serial.value)
+
+
+def square(x):
+    return x * x
+
+
+def test_fork_map_caps_its_workers(monkeypatch):
+    # The fork is stubbed: each "child" gets a pid that cannot exist and is reported as
+    # exited 1, so every forked map falls back to the serial loop and nothing is forked.
+    forks = []
+
+    def fork():
+        forks.append(len(forks))
+        return 2**22 + len(forks)  # above Linux's largest pid_max
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: (pid, 1 << 8))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for workers, n, forked in [(1000, 10, 3), (1000, 2, 2), (2, 10, 2), (1, 10, 0), (0, 10, 0)]:
+        forks.clear()
+        assert verify._fork_map(square, range(n), workers) == [x * x for x in range(n)]
+        assert len(forks) == forked, (workers, n)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    forks.clear()
+    assert verify._fork_map(square, range(5), 1000) == [x * x for x in range(5)]
+    assert len(forks) == 5
+    monkeypatch.delattr(os, "fork")
+    assert verify._fork_map(square, range(5), 1000) == [x * x for x in range(5)]
+
+
+def test_fork_map_runs_serially_when_it_cannot_fork(monkeypatch):
+    def fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert verify._fork_map(square, range(5), 2) == [x * x for x in range(5)]
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_fork_map_kills_and_waits_for_its_children_when_it_unwinds(monkeypatch):
+    # Child 0 answers at once; child 1 would sleep for a minute.  Reading child 0's answer
+    # raises, so the parent unwinds while child 1 runs, and must kill it and wait for it.
+    def loads(data):
+        raise Interrupted
+
+    monkeypatch.setattr(verify, "json", SimpleNamespace(dumps=json.dumps, loads=loads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start = time.monotonic()
+    with pytest.raises(Interrupted):
+        verify._fork_map(time.sleep, [0, 60], 2)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def replayed_transversals(seed, max_order):
@@ -349,26 +462,36 @@ def test_corpus_recipes_build_the_eager_tables(max_order):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_transfer_props_holds_one_corpus_table_at_a_time(monkeypatch, threads):
-    # Each sweep item builds its own group and drops it on return, and the sweep runs
-    # serially at any thread count, so one corpus group is alive at a time.
+def test_transfer_props_holds_one_corpus_table_at_a_time(monkeypatch, tmp_path, threads):
+    # Each sweep item builds its own group and drops it on return, so each process holds one
+    # corpus table at a time.  At threads > 1 the groups are shared out over forked workers,
+    # and each is built once, in a child.  A child's memory never reaches the parent, so each
+    # build appends (pid, corpus index, tables alive in that process) to a file.
     corpus = verify._corpus
-    alive, lock, counts = weakref.WeakSet(), threading.Lock(), []
+    builds = tmp_path / "builds"
+    alive = weakref.WeakSet()
 
-    def tracked(build):
+    def tracked(i, build):
         def built():
             G = build()
-            with lock:
-                alive.add(G)
-                counts.append(len(alive))
+            alive.add(G)
+            with open(builds, "a") as fh:
+                fh.write(f"{os.getpid()} {i} {len(alive)}\n")
             return G
 
         return built
 
-    monkeypatch.setattr(verify, "_corpus", lambda seed: [(o, tracked(b)) for o, b in corpus(seed)])
+    monkeypatch.setattr(
+        verify, "_corpus", lambda seed: [(o, tracked(i, b)) for i, (o, b) in enumerate(corpus(seed))]
+    )
     assert verify.transfer_props_suite(max_order=16, threads=threads).passed
-    assert len(counts) == len([o for o, _ in corpus(SEED) if o <= 16])
-    assert max(counts) == 1
+    assert_no_child_left()
+    records = [tuple(map(int, line.split())) for line in builds.read_text().splitlines()]
+    assert sorted(i for _, i, _ in records) == [i for i, (o, _) in enumerate(corpus(SEED)) if o <= 16]
+    assert max(k for _, _, k in records) == 1
+    pids = {pid for pid, _, _ in records}
+    assert len(pids) == min(threads, len(os.sched_getaffinity(0)))
+    assert (os.getpid() in pids) == (len(pids) == 1)  # forked workers leave the parent no group
 
 
 def test_surjectivity_tail_frees_each_cyclic_table_before_the_next(monkeypatch):
