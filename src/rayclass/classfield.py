@@ -3,13 +3,17 @@
 A modulus is a positive integer m0 plus an optional infinite place.  With the
 infinite place, ray classes mod m0*oo biject with coprime residues mod m0 via
 the unique positive generator of each ideal; without it, (a) = (-a) forces the
-quotient by the class of -1, and classes are labeled by min(r, m0 - r).
+quotient by the class of -1, and classes are labeled by min(r, m0 - r).  So an
+ideal group H is a subgroup of (Z/m0)^x = Gal(Q(zeta_m0)/Q): the residues whose
+ideals lie in H.  It holds -1 when the modulus has no infinite place, so either
+way its index in (Z/m0)^x is (D_m : H).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -22,7 +26,7 @@ from .errors import (
     TooLargeError,
     WitnessNotFoundError,
 )
-from .groups import TABLE_BOUND, require_subgroup
+from .groups import TABLE_BOUND, Subgroup, unit_group
 from .symbols import kronecker
 
 
@@ -95,10 +99,6 @@ class RayClassGroup:
     modulus: Modulus
     labels: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.labels)
-
     def class_of(self, residue: int) -> int:
         """The label of the residue's ray class; NotCoprimeError unless gcd(residue, m0) = 1."""
         m0 = self.modulus.m0
@@ -107,20 +107,17 @@ class RayClassGroup:
         return self.modulus.label(residue)
 
 
-@dataclass(frozen=True, eq=False)
-class IdealGroupH:
-    """An ideal group P_m^(1) <= H <= D_m, as the set of its ray class labels."""
+@dataclass(frozen=True)
+class IdealGroupH(Subgroup):
+    """An ideal group P_m^(1) <= H <= D_m, as the subgroup of unit_group(m0) of residues in H."""
 
-    parent: RayClassGroup
-    labels: frozenset[int]
+    modulus: Modulus = field(kw_only=True)
 
     def validate(self) -> None:
-        """InvalidArgumentError unless the labels are ray classes that form a subgroup."""
-        outside = sorted(self.labels.difference(self.parent.labels))
-        if outside:
-            raise InvalidArgumentError(f"not ray class labels mod {self.parent.modulus}: {outside}")
-        label = self.parent.modulus.label
-        require_subgroup(self.labels, 1, lambda a, b: label(a * b))
+        """InvalidArgumentError unless H is a subgroup of (Z/m0)^x that holds -1 when m has no oo."""
+        super().validate()
+        if not self.modulus.infinite and self.parent.id_of(self.modulus.m0 - 1) not in self:
+            raise InvalidArgumentError(f"ideal group mod {self.modulus} does not hold -1")
 
 
 def ray_class_group(m: Modulus) -> RayClassGroup:
@@ -145,35 +142,32 @@ def ideal_class(G: RayClassGroup, num: int, den: int = 1) -> int:
     return G.class_of(abs(num) * pow(den, -1, m0))
 
 
+def _ideal_group(m: Modulus, in_H: Callable[[int], bool]) -> IdealGroupH:
+    """The validated ideal group mod m of the residues r coprime to m0 with in_H(r)."""
+    G = unit_group(m.m0)
+    H = IdealGroupH(parent=G, members=tuple(i for i, r in enumerate(G.labels) if in_H(r)), modulus=m)
+    H.validate()
+    return H
+
+
 def takagi_group_quadratic(d: FundamentalDiscriminant | int) -> IdealGroupH:
     """Norm group of Q(sqrt(d)): the classes (a) with Kronecker symbol (d/a) = +1."""
     if isinstance(d, int):
         d = FundamentalDiscriminant(d)
-    G = ray_class_group(d.modulus)
-    H = IdealGroupH(parent=G, labels=frozenset(r for r in G.labels if kronecker(d.d, r) == 1))
-    H.validate()
-    return H
+    return _ideal_group(d.modulus, lambda r: kronecker(d.d, r) == 1)
 
 
 def takagi_group_cyclotomic(m: int) -> IdealGroupH:
     """Norm group of Q(zeta_m) mod m*oo: the principal ray alone."""
     if m < 3:
         raise InvalidArgumentError(f"cyclotomic construction needs m >= 3, got {m}")
-    return IdealGroupH(parent=ray_class_group(Modulus(m, infinite=True)), labels=frozenset({1}))
+    return _ideal_group(Modulus(m, infinite=True), lambda r: r == 1)
 
 
 def squares_group(p: int) -> IdealGroupH:
     """The ideal group of square classes mod p*oo; index 2 in the ray class group."""
     require_odd_prime(p)
-    G = ray_class_group(Modulus(p, infinite=True))
-    H = IdealGroupH(parent=G, labels=frozenset(a * a % p for a in G.labels))
-    H.validate()
-    return H
-
-
-def index(H: IdealGroupH) -> int:
-    """(D_m : H)."""
-    return H.parent.order // len(H.labels)
+    return _ideal_group(Modulus(p, infinite=True), {a * a % p for a in range(1, p)}.__contains__)
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ def first_inequality_check(H: IdealGroupH, degree: int) -> FirstInequalityResult
     """Check (D_m : H) <= degree, and whether the index divides the degree."""
     if degree < 1:
         raise InvalidArgumentError(f"degree must be positive, got {degree}")
-    idx = index(H)
+    idx = H.index
     return FirstInequalityResult(index=idx, holds=idx <= degree, divides=degree % idx == 0)
 
 

@@ -4,7 +4,7 @@ Elements are the integers 0..order-1; an optional label map carries the
 external meaning (e.g. coprime residues).  (Z/m)^x has two builders with the
 same ids (the ascending coprime residues): `unit_group` computes each product
 r*s mod m on read and each inverse by `pow`, so it costs O(m) to set up and
-serves the CLI and `splitting._transfer_setup`; `group_from_unit_residues`
+serves the CLI, `classfield` and `splitting._transfer_setup`; `group_from_unit_residues`
 stores all phi(m)^2 products, which only the transfer-props corpus uses: it
 reads each small table so often that computing the products slowed the suite
 by a fifth, and builds each stored table only when it checks that group.  The

@@ -116,7 +116,10 @@ def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
     """True iff the class of (q) lies in the ideal group H."""
     if not is_prime(q):
         raise InvalidArgumentError(f"{q} is not prime")
-    return H.parent.class_of(q) in H.labels
+    m0 = H.modulus.m0
+    if gcd(q, m0) != 1:
+        raise NotCoprimeError(f"{q} is not coprime to {m0}")
+    return H.parent.id_of(q % m0) in H
 
 
 def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
@@ -142,13 +145,12 @@ def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
 
 
 def transfer_kernel_classfield(p: int) -> tuple[IdealGroupH, Quadratic]:
-    """Kernel of the transfer (Z/p)^x -> {+-1}, checked equal to `squares_group(p)` and returned
-    as it; class field Q(sqrt(p*))."""
+    """Kernel of the transfer (Z/p)^x -> {+-1}, checked equal to `squares_group(p)` (both subgroups
+    of `unit_group(p)`, so ids match) and returned as it; class field Q(sqrt(p*))."""
     require_odd_prime(p)
-    G, U = _transfer_setup(p)
-    kernel = frozenset(G.label_of(k) for k in kernel_of(transfer_homomorphism(U)).members)
+    _, U = _transfer_setup(p)
     sq = squares_group(p)
-    if kernel != sq.labels:
+    if kernel_of(transfer_homomorphism(U)).members != sq.members:
         raise InternalInconsistencyError(
             f"transfer kernel mod {p} differs from the square classes"
         )

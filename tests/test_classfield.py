@@ -15,7 +15,6 @@ from rayclass.classfield import (
     first_inequality_check,
     fundamental_discriminants,
     ideal_class,
-    index,
     is_fundamental_discriminant,
     ray_class_group,
     squares_group,
@@ -31,7 +30,14 @@ from rayclass.errors import (
     NotInTakagiGroupError,
     TooLargeError,
 )
-from rayclass.groups import FiniteGroup, coset_order, group_from_unit_residues, subgroup_generated
+from rayclass.groups import (
+    FiniteGroup,
+    UnitGroup,
+    coset_order,
+    group_from_unit_residues,
+    subgroup_generated,
+    unit_group,
+)
 from rayclass.splitting import qr_via_splitting, splits_completely_in_class_field
 from rayclass.symbols import kronecker, legendre_brute
 
@@ -42,6 +48,11 @@ def class_order(G, c):
     while x != 1:
         k, x = k + 1, G.class_of(x * c)
     return k
+
+
+def residues(H):
+    """The residues mod m0 that make up the ideal group H, ascending."""
+    return [H.parent.label_of(i) for i in H.members]
 
 
 def test_modulus():
@@ -64,19 +75,19 @@ def test_fundamental_discriminants():
 
 def test_ray_class_group_orders():
     G = ray_class_group(Modulus(3, True))
-    assert G.order == 2 and sorted(G.labels) == [1, 2]
+    assert G.labels == (1, 2)
     G = ray_class_group(Modulus(5, False))
-    assert G.order == 2
+    assert len(G.labels) == 2
     G = ray_class_group(Modulus(8, True))
-    assert G.order == 4
+    assert len(G.labels) == 4
     assert all(G.class_of(c * c) == 1 for c in G.labels)
     for m0 in (3, 4, 5, 7, 8, 9, 12):
-        assert ray_class_group(Modulus(m0, True)).order == euler_phi(m0)
+        assert len(ray_class_group(Modulus(m0, True)).labels) == euler_phi(m0)
 
 
 def test_ray_class_group_no_infinity_quotients_by_sign():
     G = ray_class_group(Modulus(7, False))
-    assert G.order == 3
+    assert len(G.labels) == 3
     assert G.class_of(2) == G.class_of(5)  # (2) = (-2), and -2 = 5 mod 7
     assert G.class_of(1) == G.class_of(6)
 
@@ -97,19 +108,20 @@ def test_ideal_class():
 
 def test_takagi_group_quadratic_examples():
     H = takagi_group_quadratic(-4)
-    assert H.parent.modulus == Modulus(4, True)
-    assert sorted(H.labels) == [1]
+    assert H.modulus == Modulus(4, True)
+    assert residues(H) == [1]
     H = takagi_group_quadratic(5)
-    assert H.parent.modulus == Modulus(5, False)
-    assert index(H) == 2
+    assert H.modulus == Modulus(5, False)
+    assert residues(H) == [1, 4]  # -1 lies in every ideal group mod a modulus without oo
+    assert H.index == 2
     H = takagi_group_quadratic(-3)
-    assert index(H) == 2 and len(H.labels) == 1
+    assert H.index == 2 and H.order == 1
 
 
 def test_takagi_group_quadratic_index_two_sweep():
     for d in fundamental_discriminants(101):
         H = takagi_group_quadratic(d)
-        assert index(H) == 2, d.d
+        assert H.index == 2, d.d
         chk = first_inequality_check(H, 2)
         assert chk.holds and chk.divides
 
@@ -117,8 +129,8 @@ def test_takagi_group_quadratic_index_two_sweep():
 def test_takagi_group_cyclotomic():
     for m, idx in ((3, 2), (5, 4), (12, 4)):
         H = takagi_group_cyclotomic(m)
-        assert len(H.labels) == 1
-        assert index(H) == idx == euler_phi(m)
+        assert residues(H) == [1]
+        assert H.index == idx == euler_phi(m)
         chk = first_inequality_check(H, euler_phi(m))
         assert chk.holds and chk.divides
 
@@ -132,8 +144,8 @@ def test_first_inequality_failure_case():
 def test_squares_group():
     for p, sq in ((3, [1]), (7, [1, 2, 4]), (11, [1, 3, 4, 5, 9])):
         H = squares_group(p)
-        assert sorted(H.labels) == sq
-        assert index(H) == 2
+        assert residues(H) == sq
+        assert H.index == 2
 
 
 def test_artin_symbol_cyclotomic():
@@ -226,7 +238,7 @@ def test_squares_group_matches_legendre():
     for p in (5, 7, 11, 13):
         H = squares_group(p)
         for q in range(1, p):
-            assert (H.parent.class_of(q) in H.labels) == (legendre_brute(q, p) == 1)
+            assert (H.parent.id_of(q) in H) == (legendre_brute(q, p) == 1)
 
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
@@ -258,29 +270,30 @@ def test_ray_classes_agree_with_the_table_route(infinite):
 def test_squares_group_agrees_with_the_table_squares():
     for p in primes_up_to(97)[1:]:
         T = group_from_unit_residues(p)
-        assert squares_group(p).labels == {T.label_of(T.op(i, i)) for i in T.elements}, p
+        assert squares_group(p).members == tuple(sorted({T.op(i, i) for i in T.elements})), p
 
 
 def test_takagi_group_quadratic_is_the_kernel_of_the_character():
     for d in fundamental_discriminants(101):
-        expected = {d.modulus.label(r) for r in range(1, abs(d.d)) if kronecker(d.d, r) == 1}
-        assert takagi_group_quadratic(d).labels == expected, d.d
+        expected = [r for r in range(1, abs(d.d)) if kronecker(d.d, r) == 1]
+        assert residues(takagi_group_quadratic(d)) == expected, d.d
 
 
 @pytest.mark.parametrize(
-    "m, labels, message",
+    "m, members, message",
     [
-        (Modulus(7, True), {2, 4}, "subgroup is missing the identity"),
-        (Modulus(7, True), {1, 3}, "subgroup not closed at 3*3"),
-        (Modulus(7, True), {1, 2}, "subgroup not closed at 2*2"),
-        (Modulus(7), {1, 6}, "not ray class labels mod (7): [6]"),
+        # Member ids of unit_group(7): id i is the residue i + 1.
+        (Modulus(7, True), (1, 3), "subgroup is missing the identity"),
+        (Modulus(7, True), (0, 2), "subgroup not closed at 2*2"),
+        (Modulus(7, True), (0, 1), "subgroup not closed at 1*1"),
+        (Modulus(7), (0, 6), "6 is not an element of the group of order 6"),
+        (Modulus(7), (0,), "ideal group mod (7) does not hold -1"),
     ],
-    ids=["identity", "closure", "closure-at-2", "outside"],
+    ids=["identity", "closure", "closure-at-2", "outside", "minus-one"],
 )
-def test_ideal_group_validate_rejects(m, labels, message):
-    H = IdealGroupH(parent=ray_class_group(m), labels=frozenset(labels))
+def test_ideal_group_validate_rejects(m, members, message):
     with pytest.raises(InvalidArgumentError) as err:
-        H.validate()
+        IdealGroupH(parent=unit_group(m.m0), members=members, modulus=m).validate()
     assert str(err.value) == message
 
 
@@ -311,48 +324,52 @@ def test_class_field_builders_build_no_table(monkeypatch):
 
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
-def test_trivial_ideal_group_mod_1_validates(infinite):
+def test_modulus_1_labels_every_residue_1(infinite):
     m = Modulus(1, infinite)
     assert [m.label(r) for r in (-1, 0, 1, 2)] == [1, 1, 1, 1]
-    IdealGroupH(ray_class_group(m), frozenset({1})).validate()
+    assert ray_class_group(m).labels == (1,)
 
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
 def test_ideal_group_validate_agrees_with_the_all_pairs_rule(infinite):
-    """Every label set holding 1, mod m0 with phi(m0) <= 8."""
+    """Every member-id set holding the identity, mod 2 <= m0 <= 30 with phi(m0) <= 8."""
     accepted = 0
-    for m0 in (m0 for m0 in range(1, 31) if euler_phi(m0) <= 8):
-        G = ray_class_group(Modulus(m0, infinite))
-        label = G.modulus.label
-        others = [r for r in G.labels if r != 1]
+    for m0 in (m0 for m0 in range(2, 31) if euler_phi(m0) <= 8):
+        m = Modulus(m0, infinite)
+        G = unit_group(m0)
+        others = [i for i in G.elements if i != G.identity]
         for k in range(len(others) + 1):
             for rest in combinations(others, k):
-                s = frozenset({1, *rest})
-                H = IdealGroupH(parent=G, labels=s)
-                if all(label(a * b) in s for a in s for b in s):
+                s = (G.identity, *rest)
+                H = IdealGroupH(parent=G, members=s, modulus=m)
+                closed = all(G.op(a, b) in s for a in s for b in s)
+                if closed and (infinite or G.id_of(m0 - 1) in s):
                     H.validate()
                     accepted += 1
                     continue
                 with pytest.raises(InvalidArgumentError) as err:
                     H.validate()
+                if closed:
+                    assert str(err.value) == f"ideal group mod {m} does not hold -1", (m0, s)
+                    continue
                 found = re.fullmatch(r"subgroup not closed at (\d+)\*(\d+)", str(err.value))
                 x, y = map(int, found.groups())
-                assert x in s and y in s and label(x * y) not in s, (m0, sorted(s), x, y)
+                assert x in s and y in s and G.op(x, y) not in s, (m0, s, x, y)
     # The subgroups of (Z/m0)^x, or those holding -1, counted by brute force over residues.
-    assert accepted == (88 if infinite else 38)
+    assert accepted == (87 if infinite else 37)
 
 
-def test_squares_group_validates_with_quasilinear_label_calls(monkeypatch):
-    """|S|*(1 + log2|S|)^2 label calls at most; the all-pairs rule made |S|^2."""
+def test_squares_group_validates_with_quasilinear_op_calls(monkeypatch):
+    """|S|*(1 + log2|S|)^2 group-operation reads at most; the all-pairs rule made |S|^2."""
     calls = 0
-    label = Modulus.label
+    op = UnitGroup.op
 
-    def counted(modulus, residue):
+    def counted(group, a, b):
         nonlocal calls
         calls += 1
-        return label(modulus, residue)
+        return op(group, a, b)
 
-    monkeypatch.setattr(Modulus, "label", counted)
-    n = len(squares_group(4093).labels)
+    monkeypatch.setattr(UnitGroup, "op", counted)
+    n = squares_group(4093).order
     assert n == 2046
     assert 0 < calls <= n * (1 + log2(n)) ** 2

@@ -220,16 +220,27 @@ def test_verify_bound_below_its_least_exits_2(capsys, flag, value):
     assert f"usage error: {flag} must be at least" in err
 
 
+# Check counts at --max-prime 5 and 31; transfer-props ignores --max-prime.
+LEAST_BOUND_CHECKS = {
+    "qr-splitting": (2, 90),
+    "qr-transfer": (606, 3110),
+    "gauss-lemma": (150, 3700),
+    "euler-formulation": (3, 20),
+    "takagi": (45, 79),
+    "indices": (410, 1194),
+    "conductor": (3, 20),
+}
+
+
 def test_verify_least_bounds_make_checks_in_every_suite(capsys):
-    # transfer-props ignores --max-prime; every other suite makes a check at 5.
-    for suite in ("qr-splitting", "qr-transfer", "gauss-lemma", "euler-formulation",
-                  "takagi", "indices", "conductor"):
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-prime", "5",
-                           "--threads", "1", "--json")
-        assert code == 0, suite
-        record = json.loads(out)
-        assert record["inputs"] == {"suite": suite, "max_prime": 5, "threads": 1}
-        assert record["result"]["suites"][0]["checks"] > 0, suite
+    for suite, counts in LEAST_BOUND_CHECKS.items():
+        for max_prime, checks in zip((5, 31), counts):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--max-prime", str(max_prime),
+                               "--threads", "1", "--json")
+            assert code == 0, (suite, max_prime)
+            record = json.loads(out)
+            assert record["inputs"] == {"suite": suite, "max_prime": max_prime, "threads": 1}
+            assert record["result"]["suites"][0]["checks"] == checks, (suite, max_prime)
 
 
 def test_verify_unknown_suite_exits_2(capsys):

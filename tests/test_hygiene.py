@@ -5,7 +5,8 @@ is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, every
 public function and class is used there or exported, and `rayclass.__all__`
 lists exactly the names `__init__.py` re-exports.  Only the transfer-props
-corpus builds the stored (Z/m)^x table, and only `verify._fork_map` forks.
+corpus builds the stored (Z/m)^x table, only `groups` walks a member set with
+`require_subgroup`, and only `verify._fork_map` forks.
 `symbols` takes nothing from `arith` but the prime check.  No module reads a
 private attribute of `random.Random`.
 """
@@ -121,6 +122,18 @@ def test_all_lists_exactly_the_reexported_names():
     assert missing == []
 
 
+def _calls_outside(function: str, callers: set[str]) -> list[str]:
+    """module:line of each call of `function` in a package module not named in callers."""
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name not in callers
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and function in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
 # The transfer-props corpus reads each small table so often that computed
 # products slowed it by a fifth; everything else takes groups.unit_group, which
 # stores no products.
@@ -128,15 +141,16 @@ TABLE_UNIT_GROUP_USERS = {"verify.py"}
 
 
 def test_only_the_corpus_builds_the_stored_unit_group_table():
-    calls = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in MODULES
-        if path.name not in TABLE_UNIT_GROUP_USERS
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and "group_from_unit_residues" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    )
-    assert calls == []
+    assert _calls_outside("group_from_unit_residues", TABLE_UNIT_GROUP_USERS) == []
+
+
+# Every subgroup outside `groups` is a `groups.Subgroup` (ideal groups included),
+# which checks itself with `Subgroup.validate`.
+REQUIRE_SUBGROUP_USERS = {"groups.py"}
+
+
+def test_only_groups_calls_require_subgroup():
+    assert _calls_outside("require_subgroup", REQUIRE_SUBGROUP_USERS) == []
 
 
 # A forked child must exit without returning into its caller, and its parent must wait

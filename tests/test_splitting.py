@@ -7,6 +7,7 @@ from rayclass.classfield import (
     FundamentalDiscriminant,
     fundamental_discriminants,
     squares_group,
+    takagi_group_cyclotomic,
     takagi_group_quadratic,
 )
 from rayclass.errors import InvalidArgumentError, NotCoprimeError, RamifiedError
@@ -124,6 +125,22 @@ def test_splits_completely_in_class_field():
         splits_completely_in_class_field(5, sq5)
 
 
+def test_class_field_of_an_ideal_group_is_its_fixed_field():
+    # The class field of H is Q(zeta_m0)^H: q splits completely in it iff f = 1 there,
+    # and its degree is the index (D_m : H).
+    ideal_groups = [squares_group(p) for p in primes_up_to(31)[1:]]
+    ideal_groups += [takagi_group_quadratic(d) for d in fundamental_discriminants(60)]
+    ideal_groups += [takagi_group_cyclotomic(m) for m in range(3, 31)]
+    for H in ideal_groups:
+        m0 = H.modulus.m0
+        for q in primes_up_to(200):
+            if m0 % q == 0:
+                continue
+            st = splitting_in_subfield(q, m0, H)
+            assert splits_completely_in_class_field(q, H) == (st.f == 1), (H.modulus, q)
+            assert st.degree == H.index, (H.modulus, q)
+
+
 def test_spl_sets():
     assert spl_set(Quadratic(FundamentalDiscriminant(5)), 50) == [11, 19, 29, 31, 41]
     assert spl_set(Cyclotomic(5), 50) == [11, 31, 41]
@@ -173,12 +190,12 @@ def test_splitting_api_raises_typed_errors(call, error, message):
 
 def test_transfer_kernel_classfield():
     H, fld = transfer_kernel_classfield(3)
-    assert len(H.labels) == 1 and fld.d.d == -3
+    assert H.order == 1 and fld.d.d == -3
     H, fld = transfer_kernel_classfield(7)
-    assert sorted(H.labels) == [1, 2, 4]
+    assert [H.parent.label_of(i) for i in H.members] == [1, 2, 4]
     assert fld.d.d == -7
     H, fld = transfer_kernel_classfield(5)
-    assert sorted(H.labels) == [1, 4]
+    assert [H.parent.label_of(i) for i in H.members] == [1, 4]
     assert fld.d.d == 5
 
 

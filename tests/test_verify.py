@@ -155,7 +155,7 @@ def test_qr_splitting_catches_non_squares_at_7(monkeypatch):
         H = squares(p)
         if p != 7:
             return H
-        return replace(H, labels=frozenset(H.parent.labels) - H.labels)
+        return replace(H, members=tuple(i for i in H.parent.elements if i not in H))
 
     monkeypatch.setattr(classfield, "squares_group", non_squares_at_7)
     failing = verify.qr_splitting_suite(max_prime=31)
