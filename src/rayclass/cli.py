@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        help="worker threads, at least 1 (default: the CPU count); transfer-props forks up to this "
-        "many worker processes instead",
+        help="worker threads, at least 1 (default: the CPU count); transfer-props and gauss-lemma "
+        "fork up to this many worker processes instead",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")

@@ -461,13 +461,29 @@ def _transfer_products(
     return products
 
 
-def transfer(U: Subgroup, g: int, reps: tuple[int, ...] | None = None) -> TransferResult:
+Transversal = tuple[int, ...] | CosetDecomposition | None
+
+
+def _decomposition(U: Subgroup, reps: Transversal) -> CosetDecomposition:
+    """U's canonical decomposition for None, `decomposition_from_reps` for a tuple of reps,
+    and a decomposition already built over U's cosets as it is."""
+    if reps is None:
+        return U.cosets
+    if isinstance(reps, CosetDecomposition):
+        if reps.canonical is not U.cosets.canonical:
+            raise InvalidArgumentError("the decomposition is not over this subgroup's cosets")
+        return reps
+    return decomposition_from_reps(U, reps)
+
+
+def transfer(U: Subgroup, g: int, reps: Transversal = None) -> TransferResult:
     """Transfer of g from U.parent: solve g*r_i = r_j*u_j per coset, return prod u_j mod U' and the trace.
 
-    reps holds one r_i per coset of U, in any order; None takes U's canonical reps.
+    reps holds one r_i per coset of U, in any order, or is their
+    `decomposition_from_reps(U, reps)`, built once for many calls; None takes U's canonical reps.
     """
     G = U.parent
-    decomposition = U.cosets if reps is None else decomposition_from_reps(U, reps)
+    decomposition = _decomposition(U, reps)
     _require_elements(G, (g,))
     record: list[tuple[int, int]] = []
     products = _transfer_products(G, decomposition, (g,), record)
@@ -476,14 +492,14 @@ def transfer(U: Subgroup, g: int, reps: tuple[int, ...] | None = None) -> Transf
     return TransferResult(value=_reduce_mod(products, U.derived)[0], contributions=contributions)
 
 
-def transfer_values(U: Subgroup, gs: Iterable[int], reps: tuple[int, ...] | None = None) -> tuple[int, ...]:
+def transfer_values(U: Subgroup, gs: Iterable[int], reps: Transversal = None) -> tuple[int, ...]:
     """transfer(U, g, reps).value for each g in gs, with no trace built.
 
     gs is read once; the batch shares one element check, one pass of the product loop
     and one reduction mod U'.
     """
     G = U.parent
-    decomposition = U.cosets if reps is None else decomposition_from_reps(U, reps)
+    decomposition = _decomposition(U, reps)
     gs = tuple(gs)
     _require_elements(G, gs)
     return _reduce_mod(_transfer_products(G, decomposition, gs), U.derived)

@@ -16,8 +16,11 @@ from .arith import euler_phi, is_prime, mult_order, primes_up_to, require_odd_pr
 from .classfield import FundamentalDiscriminant, IdealGroupH, squares_group
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
 from .groups import (
+    CosetDecomposition,
     Subgroup,
+    UnitGroup,
     coset_order,
+    decomposition_from_reps,
     kernel_of,
     subgroup_generated,
     transfer,
@@ -164,13 +167,24 @@ def gauss_lemma_is_transfer(p: int, a: int, system: HalfSystem) -> bool:
     a*a_j = s_j*a_{pi(j)}: step j must be (pi(j), s_j), and the value must be the symbol.
     """
     symbol, rows = gauss_lemma(a, p, system)
-    G, U = _transfer_setup(p)
-    # Cosets of {+-1} are exactly the pairs {a_j, -a_j}: the half-system is a transversal.
-    result = transfer(U, G.id_of(a % p), tuple(G.id_of(aj) for aj in system.elements))
+    G, U, transversal = _half_system_transversal(system)
+    result = transfer(U, G.id_of(a % p), transversal)
     to_sign = {G.id_of(1): 1, G.id_of(p - 1): -1}
     return to_sign[result.value] == symbol and [(row.target, row.sign) for row in rows] == [
         (j, to_sign[u]) for j, u in result.contributions
     ]
+
+
+@lru_cache(maxsize=64)
+def _half_system_transversal(system: HalfSystem) -> tuple[UnitGroup, Subgroup, CosetDecomposition]:
+    """(G, U, the half-system as a transversal of U) for the transfer (Z/p)^x -> U = {+-1}.
+
+    Cosets of {+-1} are exactly the pairs {a_j, -a_j}, so a half-system is a transversal;
+    it is built once for all of the system's rows.
+    The entry keeps its own G and U, so it stays valid if `_transfer_setup` rebuilds them.
+    """
+    G, U = _transfer_setup(system.p)
+    return G, U, decomposition_from_reps(U, tuple(G.id_of(aj) for aj in system.elements))
 
 
 @dataclass(frozen=True)

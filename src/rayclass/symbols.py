@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .arith import require_odd_prime
@@ -57,27 +57,36 @@ class HalfSystem:
 
     @cached_property
     def log_mask(self) -> tuple[dict[int, int], int]:
-        """(x -> log_g x on (Z/p)^x, the (p-1)-bit mask with bit log_g(x) set for each x in A).
+        """(x -> log_g x on (Z/p)^x, shared per p by `_unit_logs`;
+        the (p-1)-bit mask with bit log_g(x) set for each x in A).
 
-        g is the least residue whose power walk from 1 visits all p-1 units;
-        the walk itself shows that g generates, so no order or factorization
-        is needed.  The mask's bits are set in a byte array and read as one
-        little-endian int, in O(p); summing 1 << log x would be O(p^2).
+        The mask's bits are set in a byte array and read as one little-endian
+        int, in O(p); summing 1 << log x would be O(p^2).
         """
-        p = self.p
-        for g in range(2, p):
-            log = {}
-            x = 1
-            while x not in log:
-                log[x] = len(log)
-                x = x * g % p
-            if len(log) == p - 1:
-                break
-        bits = bytearray((p + 6) // 8)  # p - 1 bits
+        log = _unit_logs(self.p)
+        bits = bytearray((self.p + 6) // 8)  # p - 1 bits
         for x in self.elements:
             k = log[x]
             bits[k >> 3] |= 1 << (k & 7)
         return log, int.from_bytes(bits, "little")
+
+
+@lru_cache(maxsize=64)
+def _unit_logs(p: int) -> dict[int, int]:
+    """x -> log_g x on (Z/p)^x for odd prime p, one table per p for every half-system mod p; read only.
+
+    g is the least residue whose power walk from 1 visits all p-1 units; the walk
+    itself shows that g generates, so no order or factorization is needed.
+    """
+    for g in range(2, p):
+        log = {}
+        x = 1
+        while x not in log:
+            log[x] = len(log)
+            x = x * g % p
+        if len(log) == p - 1:
+            return log
+    raise InvalidArgumentError(f"no residue generates (Z/{p})^x, so {p} is not an odd prime")
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
     outcome does not depend on the thread count.  The pool submits every item
     at once, so the items are all alive from the start: an item must be cheap
     to hold, and what is costly to hold belongs inside `run`.  Under the GIL the
-    pool runs no Python in parallel; transfer-props, where it cost 10-15%,
-    runs its sweeps on forked processes instead (`_fork_map`).
+    pool runs no Python in parallel; transfer-props, where it cost 10-15%, and
+    gauss-lemma run their sweeps on forked processes instead (`_fork_map`).
     """
     if threads <= 1:
         return _fold(result, map(run, items))
@@ -223,13 +223,20 @@ def spl_sweep(result: SuiteResult, max_p: int, spl_bound: int) -> SuiteResult:
 def gauss_lemma_suite(
     max_prime: int = 211, n_systems: int = 20, seed: int = 20260824, threads: int = 1
 ) -> SuiteResult:
-    """Three-route symbol agreement and half-system independence."""
+    """Three-route symbol agreement and half-system independence, then the transfer bridge.
+
+    The sweep draws each prime's half-systems from its own stream, seeded by seed + p.
+    The bridge, at odd p <= min(61, max_prime), draws the default system and three
+    random ones per prime from one stream seeded by seed, in p order; these are drawn
+    here, before the fork.  Both phases share one `_fork_map` round of up to `threads`
+    worker processes, one item per prime and phase, sweep items first; the outcomes fold
+    in that order, so the result does not depend on `threads`.
+    """
     result = SuiteResult(
         "gauss-lemma", params={"max_prime": max_prime, "n_systems": n_systems}
     )
-    ps = _odd_primes(max_prime)
 
-    def run(p: int) -> tuple[int, list[str]]:
+    def sweep(p: int) -> tuple[int, list[str]]:
         bad = []
         rng = random.Random(seed + p)
         default = symbols.default_half_system(p)
@@ -247,21 +254,24 @@ def gauss_lemma_suite(
                     bad.append(f"(a={a}, p={p}): half-system {system.elements} gives {value}")
         return (p - 1) * (1 + n_systems), bad
 
-    _sweep(result, run, ps, threads)
+    def bridge(p: int, systems: list[symbols.HalfSystem]) -> tuple[int, list[str]]:
+        """Transfer/Gauss-Lemma bridge at a lighter bound."""
+        bad = [
+            f"bridge mismatch at p={p}, a={a}, A={system.elements}"
+            for a in range(1, p)
+            for system in systems
+            if not splitting.gauss_lemma_is_transfer(p, a, system)
+        ]
+        return (p - 1) * len(systems), bad
 
-    # Transfer/Gauss-Lemma bridge at a lighter bound.
     rng = random.Random(seed)
+    jobs = [partial(sweep, p) for p in _odd_primes(max_prime)]
     for p in _odd_primes(min(61, max_prime)):
         systems = [symbols.default_half_system(p)] + [
             symbols.random_half_system(p, rng) for _ in range(3)
         ]
-        for a in range(1, p):
-            for system in systems:
-                result.check(
-                    splitting.gauss_lemma_is_transfer(p, a, system),
-                    f"bridge mismatch at p={p}, a={a}, A={system.elements}",
-                )
-    return result
+        jobs.append(partial(bridge, p, systems))
+    return _fold(result, _fork_map(lambda job: job(), jobs, threads))
 
 
 def _abelian_product(orders: tuple[int, ...]) -> FiniteGroup:

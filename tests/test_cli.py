@@ -206,6 +206,23 @@ def test_verify_thread_count_invariance(capsys):
     assert outs[0] == outs[1]
 
 
+def test_verify_gauss_lemma_json_is_the_same_on_forked_workers(capsys):
+    # gauss-lemma forks up to --threads workers; apart from the echoed thread count the
+    # record is byte for byte the serial one.
+    outs = []
+    for threads in (1, 2):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "gauss-lemma", "--max-prime", "31", "--json",
+            "--threads", str(threads),
+        )
+        assert code == 0
+        echoed = f', "threads": {threads}}}'
+        assert out.count(echoed) == 1
+        outs.append(out.replace(echoed, "}"))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["suites"][0]["checks"] == LEAST_BOUND_CHECKS["gauss-lemma"][1]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-prime", "4"), ("--max-prime", "0"), ("--max-prime", "-5"),

@@ -430,6 +430,28 @@ def test_transfer_values_are_the_traced_transfer_values():
         assert transfer_values(U, elements) == tuple(transfer(U, g).value for g in elements)
 
 
+def test_a_built_transversal_stands_for_its_reps():
+    # A decomposition built once by decomposition_from_reps gives what its reps give, call after call.
+    for U, reps, dec in shuffled_transversals():
+        elements = U.parent.elements
+        assert [transfer(U, g, dec) for g in elements] == [transfer(U, g, reps) for g in elements]
+        assert transfer_values(U, elements, dec) == transfer_values(U, elements, reps)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda U, dec: transfer(U, 1, dec), lambda U, dec: transfer_values(U, (1, 2), dec)],
+    ids=["transfer", "transfer_values"],
+)
+def test_a_transversal_built_over_another_subgroup_is_rejected(call):
+    G = group_from_unit_residues(7)
+    U = subgroup_generated(G, {G.id_of(6)})
+    V = subgroup_generated(G, {G.id_of(2)})
+    dec = decomposition_from_reps(V, V.cosets.reps)
+    with pytest.raises(InvalidArgumentError, match="^the decomposition is not over this subgroup's cosets$"):
+        call(U, dec)
+
+
 def test_transfer_values_match_transfer_on_every_subgroup():
     # Every subgroup, not only the cyclic ones: U = S3 has U' = A3, so the batch is reduced mod U'.
     rng = random.Random(15)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rayclass import splitting
 from rayclass.arith import euler_phi, primes_up_to
 from rayclass.classfield import (
     FundamentalDiscriminant,
@@ -220,6 +221,17 @@ def test_gauss_lemma_is_transfer_random_systems():
         for a in range(1, p):
             for _ in range(5):
                 assert gauss_lemma_is_transfer(p, a, random_half_system(p, rng)) is True
+
+
+def test_gauss_lemma_is_transfer_keeps_its_transversal_past_a_setup_rebuild():
+    # Each half-system's transversal is built once and kept with the G and U it was built
+    # over, so the transfer group rebuilt after _transfer_setup forgets p is never mixed in.
+    system = random_half_system(13, random.Random(4))
+    splitting._half_system_transversal.cache_clear()
+    assert all(gauss_lemma_is_transfer(13, a, system) for a in range(1, 13))
+    splitting._transfer_setup.cache_clear()
+    assert all(gauss_lemma_is_transfer(13, a, system) for a in range(1, 13))
+    assert splitting._half_system_transversal.cache_info().misses == 1
 
 
 def test_qr_via_splitting_examples():

@@ -103,6 +103,15 @@ def test_half_system_logs_are_to_the_least_primitive_root(p, g):
     assert all((mask >> log[x] & 1) == (x <= (p - 1) // 2) for x in range(1, p))
 
 
+def test_half_systems_mod_p_share_one_log_table():
+    rng = random.Random(3)
+    for p in (3, 13, 191):
+        log, _ = default_half_system(p).log_mask
+        assert all(random_half_system(p, rng).log_mask[0] is log for _ in range(3))
+    with pytest.raises(InvalidArgumentError, match="^no residue generates"):
+        symbols._unit_logs(9)
+
+
 def test_half_system_log_mask_is_the_sum_of_its_bits(monkeypatch):
     # The mask is built from a byte array; the reference is the sum of 1 << log x over A,
     # on every half-system the gauss-lemma suite draws and on two at p = 99991.

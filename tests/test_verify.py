@@ -56,12 +56,26 @@ def test_conductor_suite_lists_the_wrong_discriminants(monkeypatch, wrong):
         ]
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class PlantedError(ArithmeticError):
+    pass
+
+
 # gauss_lemma_suite's default seed: its half-systems, and so its failure messages, follow from it.
 SEED = 20260824
 
 
-def gauss_lemma_suite():
-    return verify.gauss_lemma_suite(max_prime=23, n_systems=2, seed=SEED)
+def gauss_lemma_suite(threads=1):
+    return verify.gauss_lemma_suite(max_prime=23, n_systems=2, seed=SEED, threads=threads)
+
+
+# Each planted-fault test runs the suite serially and on two forked workers: the children
+# inherit the parent's monkeypatch, so both runs give the same failure list and check count.
+THREADS = (1, 2)
 
 
 def test_gauss_lemma_suite_catches_a_wrong_euler_value(monkeypatch):
@@ -71,9 +85,11 @@ def test_gauss_lemma_suite_catches_a_wrong_euler_value(monkeypatch):
     monkeypatch.setattr(
         symbols, "legendre_euler", lambda a, p: -euler(a, p) if (a, p) == (2, 7) else euler(a, p)
     )
-    failing = gauss_lemma_suite()
-    assert failing.checks == passing.checks
-    assert failing.failures == ["(a=2, p=7): brute=1, euler=-1, gauss=1"]
+    for threads in THREADS:
+        failing = gauss_lemma_suite(threads)
+        assert failing.checks == passing.checks
+        assert failing.failures == ["(a=2, p=7): brute=1, euler=-1, gauss=1"]
+    assert_no_child_left()
 
 
 def test_gauss_lemma_suite_catches_a_half_system_dependence(monkeypatch):
@@ -87,16 +103,18 @@ def test_gauss_lemma_suite_catches_a_half_system_dependence(monkeypatch):
         return -value if p == 11 and system != default else value
 
     monkeypatch.setattr(symbols, "gauss_lemma_sign", flipped)
-    failing = gauss_lemma_suite()
-    assert failing.checks == passing.checks
     rng = random.Random(SEED + 11)
     systems = [symbols.random_half_system(11, rng) for _ in range(2)]
     assert all(system != default for system in systems)
-    assert failing.failures == [
-        f"(a={a}, p=11): half-system {system.elements} gives {-symbols.legendre_brute(a, 11)}"
-        for a in range(1, 11)
-        for system in systems
-    ][:10]
+    for threads in THREADS:
+        failing = gauss_lemma_suite(threads)
+        assert failing.checks == passing.checks
+        assert failing.failures == [
+            f"(a={a}, p=11): half-system {system.elements} gives {-symbols.legendre_brute(a, 11)}"
+            for a in range(1, 11)
+            for system in systems
+        ][:10]
+    assert_no_child_left()
 
 
 def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
@@ -111,19 +129,44 @@ def test_gauss_lemma_suite_catches_a_bridge_sign_mismatch(monkeypatch):
         return value, tuple(replace(row, sign=-row.sign) for row in rows)
 
     monkeypatch.setattr(splitting, "gauss_lemma", flipped)
-    failing = gauss_lemma_suite()
-    assert failing.checks == passing.checks
     # The bridge walks p = 3, 5, 7 with one seeded stream, default system first.
     rng = random.Random(SEED)
     for p in (3, 5, 7):
         systems = [symbols.default_half_system(p)] + [
             symbols.random_half_system(p, rng) for _ in range(3)
         ]
-    assert failing.failures == [
-        f"bridge mismatch at p=7, a={a}, A={system.elements}"
-        for a in range(1, 7)
-        for system in systems
-    ][:10]
+    for threads in THREADS:
+        failing = gauss_lemma_suite(threads)
+        assert failing.checks == passing.checks
+        assert failing.failures == [
+            f"bridge mismatch at p=7, a={a}, A={system.elements}"
+            for a in range(1, 7)
+            for system in systems
+        ][:10]
+    assert_no_child_left()
+
+
+def test_gauss_lemma_suite_folds_the_sweep_before_the_bridge(monkeypatch):
+    # With a fault in each phase, the sweep's failure comes first and the bridge's fill the rest.
+    euler = symbols.legendre_euler
+    monkeypatch.setattr(
+        symbols, "legendre_euler", lambda a, p: -euler(a, p) if (a, p) == (2, 7) else euler(a, p)
+    )
+    traced = splitting.gauss_lemma
+
+    def flipped(a, p, system):
+        value, rows = traced(a, p, system)
+        return value, tuple(replace(row, sign=-row.sign) for row in rows)
+
+    monkeypatch.setattr(splitting, "gauss_lemma", flipped)
+    for threads in THREADS:
+        failures = gauss_lemma_suite(threads).failures
+        assert failures[0] == "(a=2, p=7): brute=1, euler=-1, gauss=1"
+        # Every row is flipped, so each of p = 3's 2 * 4 bridge checks fails, then p = 5's.
+        assert [f.split(", a=")[0] for f in failures[1:]] == ["bridge mismatch at p=3"] * 8 + [
+            "bridge mismatch at p=5"
+        ]
+    assert_no_child_left()
 
 
 def test_gauss_lemma_suite_matches_each_bridge_row_to_the_step_of_its_rep(monkeypatch):
@@ -136,14 +179,56 @@ def test_gauss_lemma_suite_matches_each_bridge_row_to_the_step_of_its_rep(monkey
         return replace(result, contributions=result.contributions[::-1])
 
     monkeypatch.setattr(splitting, "transfer", reversed_steps)
-    failing = gauss_lemma_suite()
-    assert failing.checks == passing.checks
-    # The signs in reverse are the same multiset; only the row-by-row match catches the fault.
-    # At p = 3 there is one coset, so its single step reversed is itself.
-    assert failing.failures[0] == "bridge mismatch at p=5, a=1, A=(1, 2)"
-    assert failing.summary() == (
-        "[FAIL] gauss-lemma: 630 checks, first failure: bridge mismatch at p=5, a=1, A=(1, 2)"
-    )
+    for threads in THREADS:
+        failing = gauss_lemma_suite(threads)
+        assert failing.checks == passing.checks
+        # The signs in reverse are the same multiset; only the row-by-row match catches the fault.
+        # At p = 3 there is one coset, so its single step reversed is itself.
+        assert failing.failures[0] == "bridge mismatch at p=5, a=1, A=(1, 2)"
+        assert failing.summary() == (
+            "[FAIL] gauss-lemma: 630 checks, first failure: bridge mismatch at p=5, a=1, A=(1, 2)"
+        )
+    assert_no_child_left()
+
+
+def test_gauss_lemma_suite_gives_the_same_result_on_forked_workers():
+    serial = verify.gauss_lemma_suite(max_prime=61, n_systems=3, threads=1)
+    forked = verify.gauss_lemma_suite(max_prime=61, n_systems=3, threads=2)
+    assert_no_child_left()
+    assert serial.passed and forked == serial
+
+
+def plant_sweep_error(monkeypatch):
+    euler = symbols.legendre_euler
+
+    def fails_at_13(a, p):
+        if p == 13 and a == 5:
+            raise PlantedError(f"planted at a={a}, p={p}")
+        return euler(a, p)
+
+    monkeypatch.setattr(symbols, "legendre_euler", fails_at_13)
+
+
+def plant_bridge_error(monkeypatch):
+    traced = splitting.gauss_lemma
+
+    def fails_at_7(a, p, system):
+        if p == 7:
+            raise PlantedError(f"planted at a={a}, p={p}, A={system.elements}")
+        return traced(a, p, system)
+
+    monkeypatch.setattr(splitting, "gauss_lemma", fails_at_7)
+
+
+@pytest.mark.parametrize("plant", [plant_sweep_error, plant_bridge_error])
+def test_gauss_lemma_suite_on_forked_workers_raises_a_serial_runs_error(monkeypatch, plant):
+    plant(monkeypatch)
+    with pytest.raises(PlantedError) as serial:
+        gauss_lemma_suite(threads=1)
+    with pytest.raises(PlantedError) as forked:
+        gauss_lemma_suite(threads=2)
+    assert_no_child_left()
+    assert str(forked.value) == str(serial.value)
 
 
 def test_qr_splitting_catches_non_squares_at_7(monkeypatch):
@@ -275,11 +360,6 @@ def test_transfer_props_catches_a_rep_dependent_value(monkeypatch):
     assert failing.checks == 98  # one per failing subgroup, not one per draw
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_transfer_props_gives_the_same_result_on_forked_workers():
     serial = verify.transfer_props_suite(max_order=64, threads=1)
     forked = verify.transfer_props_suite(max_order=64, threads=2)
@@ -296,10 +376,6 @@ def test_forked_workers_see_a_planted_fault(monkeypatch, plant):
     assert_no_child_left()
     assert not serial.passed
     assert (forked.checks, forked.failures) == (serial.checks, serial.failures)
-
-
-class PlantedError(ArithmeticError):
-    pass
 
 
 def test_forked_workers_raise_a_serial_runs_error(monkeypatch):
