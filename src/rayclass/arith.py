@@ -120,6 +120,14 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def mult_order(a: int, m: int) -> int:
     """Least k >= 1 with a**k == 1 mod m; requires gcd(a, m) = 1."""
     if m < 2:

@@ -12,12 +12,12 @@ way its index in (Z/m0)^x is (D_m : H).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, factorize, primes_up_to, require_odd_prime
+from .arith import divisors, euler_phi, factorize, primes_up_to, require_odd_prime
 from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
@@ -189,7 +189,7 @@ def first_inequality_check(H: IdealGroupH, degree: int) -> FirstInequalityResult
 class ConstancyReport:
     """Per-ray-class symbol values for primes up to a bound, plus any violation."""
 
-    class_values: tuple[tuple[int, int], ...]  # (class label, symbol value), sorted
+    class_values: tuple[tuple[int, int], ...]  # (class label, symbol value), sorted; seen before any clash
     counterexample: tuple[int, int] | None      # (prime, clashing value) if any
 
     @property
@@ -197,54 +197,41 @@ class ConstancyReport:
         return self.counterexample is None
 
 
+def _class_values(
+    d: int, label: Callable[[int], int], xs: Iterable[int]
+) -> tuple[dict[int, int], tuple[int, int] | None]:
+    """Each class's (d/x) over xs in order, and the first (x, (d/x)) that clashes with its
+    class, or None; the scan stops at a clash, so later xs are not seen."""
+    values: dict[int, int] = {}
+    for x in xs:
+        chi = kronecker(d, x)
+        if values.setdefault(label(x), chi) != chi:
+            return values, (x, chi)
+    return values, None
+
+
 def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) -> ConstancyReport:
     """Partition primes <= bound by ray class mod (|d|, oo iff d<0); check (d/.) constant per class."""
     if isinstance(d, int):
         d = FundamentalDiscriminant(d)
     G = ray_class_group(d.modulus)
-    values: dict[int, int] = {}
-    counterexample = None
-    for p in primes_up_to(bound):
-        if abs(d.d) % p == 0:
-            continue
-        label = G.class_of(p)
-        chi = kronecker(d.d, p)
-        if label in values:
-            if values[label] != chi and counterexample is None:
-                counterexample = (p, chi)
-        else:
-            values[label] = chi
+    dd = abs(d.d)
+    values, counterexample = _class_values(
+        d.d, G.class_of, (p for p in primes_up_to(bound) if dd % p != 0)
+    )
     return ConstancyReport(class_values=tuple(sorted(values.items())), counterexample=counterexample)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _character_factors_through(d: int, m: Modulus) -> bool:
-    """Does (d/.) on positive integers coprime to d factor through ray classes mod m?"""
-    dd = abs(d)
-    fibers: dict[int, int] = {}
-    for r in range(1, dd + 1):
-        if gcd(r, dd) != 1:
-            continue
-        chi = kronecker(d, r)
-        if fibers.setdefault(m.label(r), chi) != chi:
-            return False
-    return True
 
 
 def conductor_quadratic(d: FundamentalDiscriminant | int) -> Modulus:
     """Smallest modulus (finite part dividing |d|) the quadratic character factors through."""
     if isinstance(d, int):
         d = FundamentalDiscriminant(d)
-    for f in _divisors(abs(d.d)):
+    dd = abs(d.d)
+    units = [r for r in range(1, dd + 1) if gcd(r, dd) == 1]
+    for f in divisors(dd):
         for infinite in (False, True):
             m = Modulus(f, infinite=infinite)
-            if _character_factors_through(d.d, m):
+            if _class_values(d.d, m.label, units)[1] is None:
                 return m
     raise InvalidArgumentError(f"character mod {d.d} factors through no divisor modulus")  # unreachable
 

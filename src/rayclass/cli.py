@@ -79,10 +79,9 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    G = groups.unit_group(args.mod)
-    gens = {_unit_id(G, args.mod, tok, "residue") for tok in args.subgroup.split(",")}
+    U = _unit_subgroup(args.mod, args.subgroup, "residue")
+    G = U.parent
     g = _unit_id(G, args.mod, args.element, "element")
-    U = groups.subgroup_generated(G, gens)
     dec = U.cosets
     result = groups.transfer(U, g)
     contributions = [
@@ -125,9 +124,7 @@ def cmd_splitting(args) -> int:
         if len(args.field) != 3:
             raise _usage("--field subfield needs m and comma-separated generators")
         m = _int(args.field[1])
-        G = groups.unit_group(m)
-        gens = {_unit_id(G, m, tok, "generator") for tok in args.field[2].split(",")}
-        U = groups.subgroup_generated(G, gens)
+        U = _unit_subgroup(m, args.field[2], "generator")
         st = splitting.splitting_in_subfield(args.prime, m, U)
         field_desc = {"variant": "subfield", "m": m, "generators": args.field[2]}
     else:
@@ -221,6 +218,12 @@ def _unit_id(G: groups.FiniteGroup, m: int, token: str | int, what: str) -> int:
         return G.id_of(_int(token) % m)
     except InvalidArgumentError:
         raise RayclassError(f"{what} {token} is not coprime to {m}") from None
+
+
+def _unit_subgroup(m: int, tokens: str, what: str) -> groups.Subgroup:
+    """The subgroup of (Z/m)^x generated by the comma-separated residues `tokens`, each a `what`."""
+    G = groups.unit_group(m)
+    return groups.subgroup_generated(G, {_unit_id(G, m, tok, what) for tok in tokens.split(",")})
 
 
 def build_parser() -> argparse.ArgumentParser:

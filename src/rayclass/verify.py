@@ -19,7 +19,7 @@ from math import gcd, prod
 from typing import Any, NoReturn
 
 from . import classfield, groups, splitting, symbols
-from .arith import euler_phi, factorize, primes_up_to
+from .arith import divisors, euler_phi, factorize, primes_up_to
 from .classfield import (
     FundamentalDiscriminant,
     fundamental_discriminants,
@@ -80,8 +80,8 @@ def _sweep(result: SuiteResult, run, items, threads: int) -> SuiteResult:
         return _fold(result, list(pool.map(run, items)))
 
 
-def _run_share(run: Callable[[Any], Any], share: Sequence, write: int) -> NoReturn:
-    """In a forked child: write [run(x) for x in share] as JSON to the pipe end `write`, and exit.
+def _run_share(share: Sequence[Callable[[], Any]], write: int) -> NoReturn:
+    """In a forked child: write [job() for job in share] as JSON to the pipe end `write`, and exit.
 
     Never returns, so the child cannot run on into its parent's code; it exits 1,
     silently, on any error.
@@ -89,31 +89,31 @@ def _run_share(run: Callable[[Any], Any], share: Sequence, write: int) -> NoRetu
     status = 1
     try:
         with open(write, "wb") as pipe:
-            pipe.write(json.dumps([run(x) for x in share]).encode())
+            pipe.write(json.dumps([job() for job in share]).encode())
         status = 0
     finally:
         os._exit(status)
 
 
-def _fork_map(run: Callable[[Any], Any], items: Sequence, workers: int) -> list:
-    """[run(x) for x in items], in item order, on up to `workers` forked child processes.
+def _fork_map(jobs: Sequence[Callable[[], Any]], workers: int) -> list:
+    """[job() for job in jobs], in job order, on up to `workers` forked child processes.
 
-    With w children, child k runs items k, k+w, k+2w, ... and sends its outcomes
-    back as one JSON list through a pipe, so an outcome is built of ints, bools,
-    strings and lists (a tuple comes back as a list).  `run`, the items and
-    whatever wraps the code they call reach the children through the fork:
-    nothing is pickled.  Fork only from a process with no other thread running.
-    w is at most the item count and the CPUs this process may run on; with
-    w <= 1, or without os.fork, the items run here, serially.  Every child is
-    waited for, and is killed first if the parent unwinds early.  If a fork or
-    a child fails, all the items run again here, so an error raised is the one
-    a serial run raises.
+    A job takes no argument (a suite binds its items with `partial`, so its phases
+    can share one round).  With w children, child k runs jobs k, k+w, k+2w, ... and
+    sends its outcomes back as one JSON list through a pipe, so an outcome is built
+    of ints, bools, strings and lists (a tuple comes back as a list).  The jobs and
+    whatever wraps the code they call reach the children through the fork: nothing
+    is pickled.  Fork only from a process with no other thread running.  w is at
+    most the job count and the CPUs this process may run on; with w <= 1, or
+    without os.fork, the jobs run here, serially.  Every child is waited for, and
+    is killed first if the parent unwinds early.  If a fork or a child fails, all
+    the jobs run again here, so an error raised is the one a serial run raises.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = min(workers, len(os.sched_getaffinity(0)))
-    workers = min(workers, len(items))
+    workers = min(workers, len(jobs))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [run(x) for x in items]
+        return [job() for job in jobs]
     pending = {}  # pid -> read end of its pipe, for each child not yet waited for
     shares = []
     try:
@@ -126,7 +126,7 @@ def _fork_map(run: Callable[[Any], Any], items: Sequence, workers: int) -> list:
                 os.close(write)
                 break
             if pid == 0:
-                _run_share(run, items[k::workers], write)
+                _run_share(jobs[k::workers], write)
             os.close(write)
             pending[pid] = open(read, "rb")
         for pid, pipe in list(pending.items()):
@@ -142,8 +142,8 @@ def _fork_map(run: Callable[[Any], Any], items: Sequence, workers: int) -> list:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
     if len(shares) < workers:
-        return [run(x) for x in items]
-    outcomes: list = [None] * len(items)
+        return [job() for job in jobs]
+    outcomes: list = [None] * len(jobs)
     for k, share in enumerate(shares):
         outcomes[k::workers] = share
     return outcomes
@@ -271,7 +271,7 @@ def gauss_lemma_suite(
             symbols.random_half_system(p, rng) for _ in range(3)
         ]
         jobs.append(partial(bridge, p, systems))
-    return _fold(result, _fork_map(lambda job: job(), jobs, threads))
+    return _fold(result, _fork_map(jobs, threads))
 
 
 def _abelian_product(orders: tuple[int, ...]) -> FiniteGroup:
@@ -399,8 +399,9 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
     The corpus is a list of recipes (`_corpus`), filtered by orders known
     before any build; each sweep item builds its group's stored table and
     drops it on return, so one table is alive at a time in each process.
-    The corpus sweep and the surjectivity sweep each fork up to `threads`
-    worker processes (`_fork_map`); each corpus group draws from its own rng
+    The corpus sweep and the surjectivity sweep share one round of up to
+    `threads` forked worker processes (`_fork_map`), corpus jobs first; the
+    outcomes fold in that order and each corpus group draws from its own rng
     stream, so the result does not depend on `threads`.
     """
     result = SuiteResult("transfer-props", params={"seed": seed})
@@ -442,21 +443,21 @@ def transfer_props_suite(seed: int = 20260824, threads: int = 1, max_order: int 
                     bad.append(f"|G|={G.order}, U={U.members}: V not a homomorphism")
         return max(1, len(bad)), bad
 
-    _fold(result, _fork_map(run, range(len(builds)), threads))
-
     def surjective(n: int) -> tuple[int, list[str]]:
         """Surjectivity onto every subgroup of Z/n; Z/n's table is freed on return."""
         G = groups.cyclic_group(n)
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        ds = divisors(n)
         bad = []
-        for d in divisors:
+        for d in ds:
             U = groups.subgroup_generated(G, {d % n})
             if set(groups.transfer_homomorphism(U).values) != U.member_set:
                 bad.append(f"transfer Z/{n} -> subgroup of order {U.order} not surjective")
-        return len(divisors), bad
+        return len(ds), bad
 
-    # Surjectivity on all subgroups of all cyclic groups up to max_order.
-    _fold(result, _fork_map(surjective, range(1, max_order + 1), threads))
+    # The corpus, then surjectivity on all subgroups of all cyclic groups up to max_order.
+    jobs = [partial(run, i) for i in range(len(builds))]
+    jobs += [partial(surjective, n) for n in range(1, max_order + 1)]
+    _fold(result, _fork_map(jobs, threads))
 
     # Klein four: transfer to every order-2 subgroup is trivial.
     V4 = groups.klein_four_group()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rayclass.arith import (  # noqa: E402
     PSI_13,
+    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -45,6 +46,11 @@ def test_jacobi_matches_sympy(a, k):
 @given(moduli)
 def test_factorize_matches_sympy(n):
     assert dict(factorize(n)) == sympy.factorint(n)
+
+
+def test_divisors_match_sympy():
+    for n in range(1, 2001):
+        assert divisors(n) == sympy.divisors(n), n
 
 
 @settings(max_examples=200, deadline=None)

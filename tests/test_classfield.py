@@ -4,6 +4,7 @@ from math import log2
 
 import pytest
 
+from rayclass import classfield
 from rayclass.arith import euler_phi, mult_order, primes_up_to
 from rayclass.classfield import (
     ConstancyReport,
@@ -29,6 +30,7 @@ from rayclass.errors import (
     NotCoprimeError,
     NotInTakagiGroupError,
     TooLargeError,
+    WitnessNotFoundError,
 )
 from rayclass.groups import (
     FiniteGroup,
@@ -170,6 +172,21 @@ def test_artin_class_constancy():
     assert report.constant_on_classes  # vacuous below the first usable prime
 
 
+def test_artin_class_constancy_stops_at_the_first_clash(monkeypatch):
+    # Mod 13 the primes 2, 3, 5, 7 fill the classes 2, 3, 5, 6; 11 is back in class 2.
+    seen = []
+
+    def flipped_at_11(a, n):
+        seen.append(n)
+        return -kronecker(a, n) if (a, n) == (13, 11) else kronecker(a, n)
+
+    monkeypatch.setattr(classfield, "kronecker", flipped_at_11)
+    report = artin_class_constancy_check(13, 200)
+    assert report.counterexample == (11, -kronecker(13, 11))
+    assert seen == [2, 3, 5, 7, 11]
+    assert report.class_values == tuple((c, kronecker(13, p)) for c, p in ((2, 2), (3, 3), (5, 5), (6, 7)))
+
+
 def test_conductor_quadratic():
     assert conductor_quadratic(-4) == Modulus(4, True)
     assert conductor_quadratic(5) == Modulus(5, False)
@@ -206,14 +223,23 @@ def test_takagi_witness_falls_back_to_the_split_prime_search():
         (lambda: first_inequality_check(squares_group(5), 0), InvalidArgumentError, "degree must be positive, got 0"),
         (lambda: takagi_witness(0, 5), InvalidArgumentError, "need a positive integer, got 0"),
         (lambda: ray_class_group(Modulus(8191)), TooLargeError, "phi(8191) exceeds the table bound 4096"),
+        (lambda: ray_class_group(Modulus(12)).class_of(9), NotCoprimeError, "9 is not coprime to 12"),
     ],
-    ids=["takagi_group_cyclotomic", "first_inequality_check", "takagi_witness", "ray_class_group"],
+    ids=["takagi_group_cyclotomic", "first_inequality_check", "takagi_witness", "ray_class_group", "class_of"],
 )
 def test_classfield_api_raises_typed_errors(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def test_takagi_witness_rejects_a_split_prime_with_symbol_minus_1(monkeypatch):
+    # (5/2) = -1; planted as the only split prime, the walk reaches 4 = 2^2 mod 5 through it.
+    monkeypatch.setattr(classfield, "_split_primes", lambda d, bound: (2,))
+    with pytest.raises(WitnessNotFoundError) as excinfo:
+        takagi_witness(4, 5)
+    assert str(excinfo.value) == "witness prime 2 has symbol != +1"
 
 
 def test_takagi_witness_reverifies():

@@ -133,7 +133,10 @@ P_GROUP_SUBGROUP_COUNTS = {(2, 2, 2, 2): 67, (4, 4): 15, (2, 2, 8): 38, (3, 9): 
 def test_transfer_props_lattice_is_every_subgroup():
     # The suite's own lattice joins cyclic subgroups of prime-power order by whole cosets;
     # it must list every subgroup, ordered by size.
-    corpus = [G for G in closure_corpus() if G.is_abelian]
+    corpus = [
+        G for G in closure_corpus()
+        if all(G.table[a][b] == G.table[b][a] for a in G.elements for b in G.elements)
+    ]
     corpus += [product_of_cyclic(*orders) for orders in P_GROUP_SUBGROUP_COUNTS]
     for G in corpus:
         expected = sorted((U.members for U in all_subgroups(G)), key=lambda m: (len(m), m))
@@ -628,6 +631,17 @@ def test_transfer_nonabelian_reduces_mod_derived():
     derived = derived_subgroup(full)
     for g in S3.elements:
         assert hom.values[g] == min(S3.op(g, d) for d in derived.members)
+
+
+def test_power_with_a_negative_exponent_is_a_power_of_the_inverse():
+    for G in [*closure_corpus(), unit_group(15)]:
+        inv = G.inverses
+        for a in G.elements:
+            for k in range(1, G.order + 2):
+                assert G.power(a, -k) == G.power(inv[a], k), (G.order, a, k)
+                assert G.op(G.power(a, k), G.power(a, -k)) == G.identity
+    U = unit_group(15)
+    assert [U.label_of(U.power(U.id_of(r), -3)) for r in (2, 7)] == [pow(2, -3, 15), pow(7, -3, 15)]
 
 
 def test_power_loops_stop_on_malformed_table():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,12 @@ from rayclass.classfield import (
     takagi_group_cyclotomic,
     takagi_group_quadratic,
 )
-from rayclass.errors import InvalidArgumentError, NotCoprimeError, RamifiedError
+from rayclass.errors import (
+    InternalInconsistencyError,
+    InvalidArgumentError,
+    NotCoprimeError,
+    RamifiedError,
+)
 from rayclass.groups import (
     group_from_unit_residues,
     subgroup_generated,
@@ -198,6 +204,19 @@ def test_transfer_kernel_classfield():
     H, fld = transfer_kernel_classfield(5)
     assert [H.parent.label_of(i) for i in H.members] == [1, 4]
     assert fld.d.d == 5
+
+
+def test_transfer_kernel_classfield_rejects_a_kernel_that_is_not_the_squares(monkeypatch):
+    squares = splitting.squares_group
+
+    def non_squares(p):
+        H = squares(p)
+        return replace(H, members=tuple(i for i in H.parent.elements if i not in H))
+
+    monkeypatch.setattr(splitting, "squares_group", non_squares)
+    with pytest.raises(InternalInconsistencyError) as excinfo:
+        transfer_kernel_classfield(7)
+    assert str(excinfo.value) == "transfer kernel mod 7 differs from the square classes"
 
 
 def test_gauss_lemma_is_transfer():

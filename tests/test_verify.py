@@ -10,6 +10,7 @@ import random
 import time
 import weakref
 from dataclasses import replace
+from functools import partial
 from math import prod
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import pytest
 
 from rayclass import classfield, groups, splitting, symbols, verify
 from rayclass.arith import primes_up_to
+from rayclass.errors import NotInTakagiGroupError
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -54,6 +56,17 @@ def test_conductor_suite_lists_the_wrong_discriminants(monkeypatch, wrong):
             f"d={d}: conductor (1) != expected {classfield.FundamentalDiscriminant(d).modulus}"
             for d in wrong
         ]
+
+
+def test_conductor_suite_fails_when_no_class_ever_clashes(monkeypatch):
+    # Without a clash the scan accepts the first candidate, the modulus (1), for every d.
+    passing = verify.conductor_suite(max_disc=20)
+    monkeypatch.setattr(classfield, "_class_values", lambda d, label, xs: ({}, None))
+    failing = verify.conductor_suite(max_disc=20)
+    assert failing.checks == passing.checks
+    assert failing.failures == [
+        f"d={d.d}: conductor (1) != expected {d.modulus}" for d in classfield.fundamental_discriminants(20)
+    ][:10]
 
 
 def assert_no_child_left():
@@ -257,12 +270,19 @@ def test_euler_formulation_catches_a_wrong_symbol(monkeypatch):
     passing = verify.euler_formulation_suite(max_disc=20, prime_bound=200)
     assert passing.passed
     kronecker = classfield.kronecker
-    monkeypatch.setattr(
-        classfield, "kronecker", lambda a, n: -kronecker(a, n) if (a, n) == (5, 31) else kronecker(a, n)
-    )
+    seen = []
+
+    def flipped_at_31(a, n):
+        if a == 5:
+            seen.append(n)
+        return -kronecker(a, n) if (a, n) == (5, 31) else kronecker(a, n)
+
+    monkeypatch.setattr(classfield, "kronecker", flipped_at_31)
     failing = verify.euler_formulation_suite(max_disc=20, prime_bound=200)
     assert failing.checks == passing.checks
     assert failing.failures == ["d=5: symbol not constant, counterexample (31, -1)"]
+    # The scan of d=5 stops at its clash.
+    assert seen == [p for p in primes_up_to(31) if p != 5]
 
 
 def test_takagi_catches_a_wrong_witness_fraction(monkeypatch):
@@ -283,6 +303,36 @@ def test_takagi_catches_a_wrong_witness_fraction(monkeypatch):
     assert failing.failures == [
         f"a=11, d={d}: witness for a=11, d={d} fails s = 1 mod {abs(d)}" for d in (5, -7, -8, 12)
     ]
+
+
+@pytest.mark.parametrize(
+    "plant, failure",
+    [
+        (NotInTakagiGroupError("planted"), "a=11, d=5: rejected despite symbol +1"),
+        (((2, 1),), "a=11, d=5: witness ((2, 1),) does not verify"),
+    ],
+    ids=["rejected", "unverified"],
+)
+def test_takagi_catches_a_witness_search_fault(monkeypatch, plant, failure):
+    # (5/11) = +1.  The planted witness 2 gives s = 11/2, and 11 != 2 mod 5.
+    def suite():
+        return verify.takagi_suite(max_disc=20, witness_max_disc=12, witness_max_a=40)
+
+    passing = suite()
+    assert passing.passed and passing.checks == 34
+    witness = classfield.takagi_witness
+
+    def planted_at_11_mod_5(a, d, prime_bound):
+        if (a, d.d) != (11, 5):
+            return witness(a, d, prime_bound)
+        if isinstance(plant, Exception):
+            raise plant
+        return plant
+
+    monkeypatch.setattr(classfield, "takagi_witness", planted_at_11_mod_5)
+    failing = suite()
+    assert failing.checks == passing.checks
+    assert failing.failures == [failure]
 
 
 def test_indices_catches_a_wrong_ramification_index(monkeypatch):
@@ -367,6 +417,20 @@ def test_transfer_props_gives_the_same_result_on_forked_workers():
     assert serial.passed and forked == serial
 
 
+def test_transfer_props_folds_its_corpus_and_surjectivity_in_one_fork_round(monkeypatch):
+    rounds = []
+    fork_map = verify._fork_map
+
+    def counted(jobs, workers):
+        rounds.append(len(jobs))
+        return fork_map(jobs, workers)
+
+    monkeypatch.setattr(verify, "_fork_map", counted)
+    assert verify.transfer_props_suite(max_order=8, threads=2).passed
+    corpus = [order for order, _ in verify._corpus(SEED) if order <= 8]
+    assert rounds == [len(corpus) + 8]
+
+
 @pytest.mark.parametrize("plant", [plant_skipped_last_coset, plant_rep_dependent_value])
 def test_forked_workers_see_a_planted_fault(monkeypatch, plant):
     # The fault is patched into the parent after import; the children get it through the fork.
@@ -399,6 +463,10 @@ def square(x):
     return x * x
 
 
+def squares(n):
+    return [partial(square, x) for x in range(n)]
+
+
 def test_fork_map_caps_its_workers(monkeypatch):
     # The fork is stubbed: each "child" gets a pid that cannot exist and is reported as
     # exited 1, so every forked map falls back to the serial loop and nothing is forked.
@@ -413,14 +481,14 @@ def test_fork_map_caps_its_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     for workers, n, forked in [(1000, 10, 3), (1000, 2, 2), (2, 10, 2), (1, 10, 0), (0, 10, 0)]:
         forks.clear()
-        assert verify._fork_map(square, range(n), workers) == [x * x for x in range(n)]
+        assert verify._fork_map(squares(n), workers) == [x * x for x in range(n)]
         assert len(forks) == forked, (workers, n)
     monkeypatch.delattr(os, "sched_getaffinity")
     forks.clear()
-    assert verify._fork_map(square, range(5), 1000) == [x * x for x in range(5)]
+    assert verify._fork_map(squares(5), 1000) == [x * x for x in range(5)]
     assert len(forks) == 5
     monkeypatch.delattr(os, "fork")
-    assert verify._fork_map(square, range(5), 1000) == [x * x for x in range(5)]
+    assert verify._fork_map(squares(5), 1000) == [x * x for x in range(5)]
 
 
 def test_fork_map_runs_serially_when_it_cannot_fork(monkeypatch):
@@ -428,7 +496,7 @@ def test_fork_map_runs_serially_when_it_cannot_fork(monkeypatch):
         raise BlockingIOError("Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert verify._fork_map(square, range(5), 2) == [x * x for x in range(5)]
+    assert verify._fork_map(squares(5), 2) == [x * x for x in range(5)]
 
 
 class Interrupted(Exception):
@@ -445,7 +513,7 @@ def test_fork_map_kills_and_waits_for_its_children_when_it_unwinds(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     start = time.monotonic()
     with pytest.raises(Interrupted):
-        verify._fork_map(time.sleep, [0, 60], 2)
+        verify._fork_map([partial(time.sleep, 0), partial(time.sleep, 60)], 2)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
