@@ -54,6 +54,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(q: int) -> None:
+    """InvalidArgumentError unless q is prime."""
+    if not is_prime(q):
+        raise InvalidArgumentError(f"{q} is not prime")
+
+
 def require_odd_prime(p: int) -> None:
     """InvalidArgumentError unless p is an odd prime."""
     if p == 2 or not is_prime(p):

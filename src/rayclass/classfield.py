@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     WitnessNotFoundError,
 )
-from .groups import TABLE_BOUND, Subgroup, unit_group
+from .groups import TABLE_BOUND, Subgroup, require_unit_group, unit_group
 from .symbols import kronecker
 
 
@@ -76,6 +76,11 @@ class FundamentalDiscriminant:
         if not is_fundamental_discriminant(self.d):
             raise InvalidDiscriminantError(f"{self.d} is not a fundamental discriminant")
 
+    @classmethod
+    def of(cls, d: FundamentalDiscriminant | int) -> FundamentalDiscriminant:
+        """d itself, or the discriminant an int names (InvalidDiscriminantError if none)."""
+        return cls(d) if isinstance(d, int) else d
+
     @property
     def modulus(self) -> Modulus:
         """(|d|), with the infinite place exactly when d < 0."""
@@ -115,6 +120,9 @@ class IdealGroupH(Subgroup):
 
     def validate(self) -> None:
         """InvalidArgumentError unless H is a subgroup of (Z/m0)^x that holds -1 when m has no oo."""
+        m = require_unit_group(self.parent).modulus
+        if m != self.modulus.m0:
+            raise InvalidArgumentError(f"ideal group mod {self.modulus} lies in (Z/{m})^x")
         super().validate()
         if not self.modulus.infinite and self.parent.id_of(self.modulus.m0 - 1) not in self:
             raise InvalidArgumentError(f"ideal group mod {self.modulus} does not hold -1")
@@ -152,8 +160,7 @@ def _ideal_group(m: Modulus, in_H: Callable[[int], bool]) -> IdealGroupH:
 
 def takagi_group_quadratic(d: FundamentalDiscriminant | int) -> IdealGroupH:
     """Norm group of Q(sqrt(d)): the classes (a) with Kronecker symbol (d/a) = +1."""
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
+    d = FundamentalDiscriminant.of(d)
     return _ideal_group(d.modulus, lambda r: kronecker(d.d, r) == 1)
 
 
@@ -212,8 +219,7 @@ def _class_values(
 
 def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) -> ConstancyReport:
     """Partition primes <= bound by ray class mod (|d|, oo iff d<0); check (d/.) constant per class."""
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
+    d = FundamentalDiscriminant.of(d)
     G = ray_class_group(d.modulus)
     dd = abs(d.d)
     values, counterexample = _class_values(
@@ -224,8 +230,7 @@ def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) ->
 
 def conductor_quadratic(d: FundamentalDiscriminant | int) -> Modulus:
     """Smallest modulus (finite part dividing |d|) the quadratic character factors through."""
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
+    d = FundamentalDiscriminant.of(d)
     dd = abs(d.d)
     units = [r for r in range(1, dd + 1) if gcd(r, dd) == 1]
     for f in divisors(dd):
@@ -245,8 +250,7 @@ def takagi_witness(
     s = a * prod p**(-e) is a positive rational with numerator = denominator
     mod |d|.  The decomposition is re-verified before returning.
     """
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
+    d = FundamentalDiscriminant.of(d)
     dd = abs(d.d)
     if a <= 0:
         raise InvalidArgumentError(f"need a positive integer, got {a}")

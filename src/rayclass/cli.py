@@ -81,7 +81,7 @@ def cmd_symbol(args) -> int:
 def cmd_transfer(args) -> int:
     U = _unit_subgroup(args.mod, args.subgroup, "residue")
     G = U.parent
-    g = _unit_id(G, args.mod, args.element, "element")
+    g = _unit_id(G, args.element, "element")
     dec = U.cosets
     result = groups.transfer(U, g)
     contributions = [
@@ -125,7 +125,7 @@ def cmd_splitting(args) -> int:
             raise _usage("--field subfield needs m and comma-separated generators")
         m = _int(args.field[1])
         U = _unit_subgroup(m, args.field[2], "generator")
-        st = splitting.splitting_in_subfield(args.prime, m, U)
+        st = splitting.splitting_in_subfield(args.prime, U)
         field_desc = {"variant": "subfield", "m": m, "generators": args.field[2]}
     else:
         raise _usage(f"unknown field variant {variant!r}")
@@ -212,18 +212,18 @@ def _int(token: str) -> int:
         raise _usage(f"{token!r} is not an integer") from None
 
 
-def _unit_id(G: groups.FiniteGroup, m: int, token: str | int, what: str) -> int:
+def _unit_id(G: groups.UnitGroup, token: str | int, what: str) -> int:
     """Element id of the residue `token` in G = (Z/m)^x."""
     try:
-        return G.id_of(_int(token) % m)
+        return G.id_of(_int(token) % G.modulus)
     except InvalidArgumentError:
-        raise RayclassError(f"{what} {token} is not coprime to {m}") from None
+        raise RayclassError(f"{what} {token} is not coprime to {G.modulus}") from None
 
 
 def _unit_subgroup(m: int, tokens: str, what: str) -> groups.Subgroup:
     """The subgroup of (Z/m)^x generated by the comma-separated residues `tokens`, each a `what`."""
     G = groups.unit_group(m)
-    return groups.subgroup_generated(G, {_unit_id(G, m, tok, what) for tok in tokens.split(",")})
+    return groups.subgroup_generated(G, {_unit_id(G, tok, what) for tok in tokens.split(",")})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,13 @@
 """Finite groups given by their multiplication tables, cosets, and the transfer map.
 
-Elements are the integers 0..order-1; an optional label map carries the
-external meaning (e.g. coprime residues).  (Z/m)^x has two builders with the
-same ids (the ascending coprime residues): `unit_group` computes each product
-r*s mod m on read and each inverse by `pow`, so it costs O(m) to set up and
-serves the CLI, `classfield` and `splitting._transfer_setup`; `group_from_unit_residues`
-stores all phi(m)^2 products, which only the transfer-props corpus uses: it
-reads each small table so often that computing the products slowed the suite
-by a fifth, and builds each stored table only when it checks that group.  The
+Elements are the integers 0..order-1.  Only (Z/m)^x, a `UnitGroup`, has labels:
+the ascending coprime residues, with m and residue -> id.  Both its builders give
+those ids: `unit_group` computes each product r*s mod m on read, so it costs O(m)
+to set up and serves the CLI, `classfield` and `splitting._transfer_setup`;
+`group_from_unit_residues` stores all phi(m)^2 products, which only the
+transfer-props corpus uses: it reads each small table so often that computing
+the products slowed the suite by a fifth, and builds each stored table only
+when it checks that group.  The
 transfer of g from G to a subgroup U is computed by the literal coset formula:
 pick representatives r_i, solve g*r_i = r_j * u_j with u_j in U, and multiply
 the u_j modulo the commutator subgroup of U; the r_i are the caller's, one per
@@ -42,7 +42,6 @@ class FiniteGroup:
 
     table: tuple[tuple[int, ...], ...]
     identity: int
-    labels: tuple[int, ...] | None = None
 
     @cached_property
     def order(self) -> int:
@@ -83,20 +82,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
-
-    def label_of(self, a: int) -> int:
-        return self.labels[a] if self.labels is not None else a
-
-    @cached_property
-    def _id_of_label(self) -> dict[int, int]:
-        return {self.label_of(i): i for i in self.elements}
-
-    def id_of(self, label: int) -> int:
-        """The element carrying `label`; InvalidArgumentError if there is none."""
-        try:
-            return self._id_of_label[label]
-        except KeyError:
-            raise InvalidArgumentError(f"no element is labeled {label}") from None
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -195,15 +180,6 @@ def _unit_residues(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return residues, {r: i for i, r in enumerate(residues)}
 
 
-def group_from_unit_residues(m: int) -> FiniteGroup:
-    """(Z/m)^x as a table group, elements labeled by coprime residues."""
-    residues, index = _unit_residues(m)
-    table = tuple(
-        tuple(index[a * b % m] for b in residues) for a in residues
-    )
-    return FiniteGroup(table=table, identity=index[1], labels=residues)
-
-
 class _UnitRow:
     """Row r of (Z/m)^x's table: row[b] is the id of r * r_b mod m, computed on read."""
 
@@ -218,29 +194,52 @@ class _UnitRow:
 
 @dataclass(frozen=True, eq=False)
 class UnitGroup(FiniteGroup):
-    """(Z/m)^x with no stored products: table[a][b] is r_a*r_b mod m and inverses come from pow.
+    """(Z/m)^x: element i is the residue labels[i], ascending, and inverses come from pow.
 
-    Its own dataclass __init__ leaves FiniteGroup.__init__ alone, so what counts
-    the cells of stored tables through that method counts none here.
+    Both builders below take labels, residue_ids and modulus from one `_unit_residues(m)`.
+    Its own dataclass __init__ leaves FiniteGroup.__init__ alone, so what counts the
+    cells of stored tables through that method counts neither builder's tables.
     """
 
     modulus: int = field(kw_only=True)
+    labels: tuple[int, ...] = field(kw_only=True)
+    residue_ids: dict[int, int] = field(kw_only=True, repr=False)
 
-    @cached_property
-    def _id_of_label(self) -> dict[int, int]:
-        return self.table[self.identity].index  # the residue -> id index every row shares
+    def label_of(self, a: int) -> int:
+        return self.labels[a]
+
+    def id_of(self, residue: int) -> int:
+        """The element of `residue`; InvalidArgumentError unless it is a unit in 1..m-1."""
+        try:
+            return self.residue_ids[residue]
+        except KeyError:
+            raise InvalidArgumentError(f"no element is labeled {residue}") from None
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        m, index = self.modulus, self._id_of_label
-        return tuple(index[pow(r, -1, m)] for r in self.labels)
+        m, ids = self.modulus, self.residue_ids
+        return tuple(ids[pow(r, -1, m)] for r in self.labels)
+
+
+def require_unit_group(G: FiniteGroup) -> UnitGroup:
+    """G itself when it is some (Z/m)^x; InvalidArgumentError for any other group."""
+    if not isinstance(G, UnitGroup):
+        raise InvalidArgumentError(f"the group of order {G.order} is not a unit group (Z/m)^x")
+    return G
+
+
+def group_from_unit_residues(m: int) -> UnitGroup:
+    """(Z/m)^x with all phi(m)^2 products stored."""
+    residues, index = _unit_residues(m)
+    table = tuple(tuple(index[a * b % m] for b in residues) for a in residues)
+    return UnitGroup(table=table, identity=index[1], modulus=m, labels=residues, residue_ids=index)
 
 
 def unit_group(m: int) -> UnitGroup:
-    """(Z/m)^x with the ids and labels of group_from_unit_residues(m), in O(m) time and memory."""
+    """(Z/m)^x with the ids of group_from_unit_residues(m) and no stored products, in O(m)."""
     residues, index = _unit_residues(m)
     table = tuple(_UnitRow(r, m, residues, index) for r in residues)
-    return UnitGroup(table=table, identity=index[1], labels=residues, modulus=m)
+    return UnitGroup(table=table, identity=index[1], modulus=m, labels=residues, residue_ids=index)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import euler_phi, is_prime, mult_order, primes_up_to, require_odd_prime
+from .arith import euler_phi, mult_order, primes_up_to, require_odd_prime, require_prime
 from .classfield import FundamentalDiscriminant, IdealGroupH, squares_group
 from .errors import InternalInconsistencyError, InvalidArgumentError, NotCoprimeError, RamifiedError
 from .groups import (
@@ -22,6 +22,7 @@ from .groups import (
     coset_order,
     decomposition_from_reps,
     kernel_of,
+    require_unit_group,
     subgroup_generated,
     transfer,
     transfer_homomorphism,
@@ -64,23 +65,14 @@ class Cyclotomic:
     m: int
 
 
-@dataclass(frozen=True, eq=False)
-class CyclotomicSubfield:
-    """Subfield of Q(zeta_m) fixed by a subgroup U of the unit residues mod m."""
-
-    m: int
-    subgroup: Subgroup
-
-
-FieldDescriptor = Quadratic | Cyclotomic | CyclotomicSubfield
+# A Subgroup U of (Z/m)^x names the subfield of Q(zeta_m) that it fixes.
+FieldDescriptor = Quadratic | Cyclotomic | Subgroup
 
 
 def splitting_quadratic(q: int, d: FundamentalDiscriminant | int) -> SplittingType:
     """Decomposition of q in Q(sqrt(d)) from the Kronecker symbol."""
-    if isinstance(d, int):
-        d = FundamentalDiscriminant(d)
-    if not is_prime(q):
-        raise InvalidArgumentError(f"{q} is not prime")
+    d = FundamentalDiscriminant.of(d)
+    require_prime(q)
     chi = kronecker(d.d, q)
     if chi == 1:
         return SplittingType(e=1, f=1, g=2)
@@ -93,8 +85,7 @@ def splitting_cyclotomic(q: int, m: int) -> SplittingType:
     """Decomposition of q in Q(zeta_m): e = phi(q^k), f = ord(q mod m/q^k)."""
     if m < 3:
         raise InvalidArgumentError(f"need m >= 3, got {m}")
-    if not is_prime(q):
-        raise InvalidArgumentError(f"{q} is not prime")
+    require_prime(q)
     qk = 1
     m1 = m
     while m1 % q == 0:
@@ -105,10 +96,10 @@ def splitting_cyclotomic(q: int, m: int) -> SplittingType:
     return SplittingType(e=e, f=f, g=euler_phi(m) // (e * f))
 
 
-def splitting_in_subfield(q: int, m: int, U: Subgroup) -> SplittingType:
-    """Decomposition of unramified q in the subfield of Q(zeta_m) fixed by U."""
-    if not is_prime(q):
-        raise InvalidArgumentError(f"{q} is not prime")
+def splitting_in_subfield(q: int, U: Subgroup) -> SplittingType:
+    """Decomposition of unramified q in the subfield of Q(zeta_m) fixed by U <= (Z/m)^x."""
+    m = require_unit_group(U.parent).modulus
+    require_prime(q)
     if m % q == 0:
         raise RamifiedError(f"{q} divides {m}; ramified case unsupported here")
     f = coset_order(U, U.parent.id_of(q % m))
@@ -117,8 +108,7 @@ def splitting_in_subfield(q: int, m: int, U: Subgroup) -> SplittingType:
 
 def splits_completely_in_class_field(q: int, H: IdealGroupH) -> bool:
     """True iff the class of (q) lies in the ideal group H."""
-    if not is_prime(q):
-        raise InvalidArgumentError(f"{q} is not prime")
+    require_prime(q)
     m0 = H.modulus.m0
     if gcd(q, m0) != 1:
         raise NotCoprimeError(f"{q} is not coprime to {m0}")
@@ -139,10 +129,8 @@ def spl_set(field: FieldDescriptor, bound: int) -> list[int]:
             if st.e == 1 and st.f == 1:
                 out.append(q)
         else:
-            if field.m % q == 0:
-                continue
-            st = splitting_in_subfield(q, field.m, field.subgroup)
-            if st.f == 1:
+            m = require_unit_group(field.parent).modulus
+            if m % q and splitting_in_subfield(q, field).f == 1:  # unramified, f = 1
                 out.append(q)
     return out
 

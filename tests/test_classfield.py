@@ -36,6 +36,7 @@ from rayclass.groups import (
     FiniteGroup,
     UnitGroup,
     coset_order,
+    cyclic_group,
     group_from_unit_residues,
     subgroup_generated,
     unit_group,
@@ -321,6 +322,19 @@ def test_ideal_group_validate_rejects(m, members, message):
     with pytest.raises(InvalidArgumentError) as err:
         IdealGroupH(parent=unit_group(m.m0), members=members, modulus=m).validate()
     assert str(err.value) == message
+
+
+def test_ideal_group_validate_rejects_a_parent_that_is_not_units_mod_m0():
+    # The squares of (Z/7)^x read mod (9)oo would make 13 split (13 = 6 mod 7 is no
+    # square) and 23 not (23 = 2 mod 7 is one).
+    H = IdealGroupH(parent=unit_group(7), members=squares_group(7).members, modulus=Modulus(9, True))
+    with pytest.raises(InvalidArgumentError) as err:
+        H.validate()
+    assert str(err.value) == "ideal group mod (9)oo lies in (Z/7)^x"
+    H = IdealGroupH(parent=cyclic_group(6), members=(0, 2, 4), modulus=Modulus(7, True))
+    with pytest.raises(InvalidArgumentError) as err:
+        H.validate()
+    assert str(err.value) == "the group of order 6 is not a unit group (Z/m)^x"
 
 
 def test_class_field_builders_build_no_table(monkeypatch):

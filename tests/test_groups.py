@@ -805,7 +805,9 @@ def test_unit_group_agrees_with_the_table_group():
         G, T = unit_group(m), group_from_unit_residues(m)
         assert (G.labels, G.identity, G.order) == (T.labels, T.identity, T.order), m
         assert all(G.table[a][b] == T.table[a][b] for a in T.elements for b in T.elements), m
-        assert G.inverses == T.inverses, m
+        # Both run UnitGroup's pow; the row scan over T's stored table is the independent reference.
+        assert G.inverses == T.inverses == FiniteGroup.inverses.func(T), m
+        assert G.modulus == T.modulus == m
         seen = set()
         for gen in T.elements:
             U, V = subgroup_generated(G, {gen}), subgroup_generated(T, {gen})

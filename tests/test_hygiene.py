@@ -5,8 +5,9 @@ is used in it.  `__init__.py` is skipped: its imports are the re-exports.
 Every module-level private name is used somewhere in the package, every
 public function and class is used there or exported, and `rayclass.__all__`
 lists exactly the names `__init__.py` re-exports.  Only the transfer-props
-corpus builds the stored (Z/m)^x table, only `groups` walks a member set with
-`require_subgroup`, and only `verify._fork_map` forks.
+corpus builds the stored (Z/m)^x table, only `groups` constructs a `UnitGroup`
+or walks a member set with `require_subgroup`, no other group has labels, and
+only `verify._fork_map` forks.
 `symbols` takes nothing from `arith` but the prime check.  No module reads a
 private attribute of `random.Random`.
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import rayclass
+from rayclass.groups import FiniteGroup
 
 PACKAGE = sorted(Path(rayclass.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -142,6 +144,19 @@ TABLE_UNIT_GROUP_USERS = {"verify.py"}
 
 def test_only_the_corpus_builds_the_stored_unit_group_table():
     assert _calls_outside("group_from_unit_residues", TABLE_UNIT_GROUP_USERS) == []
+
+
+# `groups` builds each UnitGroup from one `_unit_residues(m)`, so its labels, its
+# residue -> id dict and its modulus always agree; `splitting` reads m from it alone.
+UNIT_GROUP_BUILDERS = {"groups.py"}
+
+
+def test_only_groups_constructs_a_unit_group():
+    assert _calls_outside("UnitGroup", UNIT_GROUP_BUILDERS) == []
+
+
+def test_only_unit_groups_have_labels():
+    assert [name for name in ("labels", "label_of", "id_of") if hasattr(FiniteGroup, name)] == []
 
 
 # Every subgroup outside `groups` is a `groups.Subgroup` (ideal groups included),

@@ -19,13 +19,13 @@ from rayclass.errors import (
     RamifiedError,
 )
 from rayclass.groups import (
+    cyclic_group,
     group_from_unit_residues,
     subgroup_generated,
     transfer,
 )
 from rayclass.splitting import (
     Cyclotomic,
-    CyclotomicSubfield,
     Quadratic,
     gauss_lemma_is_transfer,
     qr_via_splitting,
@@ -75,14 +75,14 @@ def test_splitting_cyclotomic_degree_sweep():
 def test_splitting_in_subfield():
     G = group_from_unit_residues(7)
     full = subgroup_generated(G, set(G.elements))
-    st = splitting_in_subfield(5, 7, full)
+    st = splitting_in_subfield(5, full)
     assert (st.e, st.f, st.g) == (1, 1, 1)  # fixed field is Q
     squares = subgroup_generated(G, {G.id_of(2)})
-    st = splitting_in_subfield(2, 7, squares)
+    st = splitting_in_subfield(2, squares)
     assert st.f == 1 and st.g == 2  # 2 splits in Q(sqrt(-7))
     assert kronecker(-7, 2) == 1
     with pytest.raises(RamifiedError):
-        splitting_in_subfield(7, 7, squares)
+        splitting_in_subfield(7, squares)
 
 
 def test_subfield_compatibility_with_cyclotomic():
@@ -93,8 +93,8 @@ def test_subfield_compatibility_with_cyclotomic():
         for q in primes_up_to(40):
             if m % q == 0:
                 continue
-            assert splitting_in_subfield(q, m, trivial) == splitting_cyclotomic(q, m)
-            assert splitting_in_subfield(q, m, full).degree == 1
+            assert splitting_in_subfield(q, trivial) == splitting_cyclotomic(q, m)
+            assert splitting_in_subfield(q, full).degree == 1
 
 
 def test_maximal_real_subfield():
@@ -105,7 +105,7 @@ def test_maximal_real_subfield():
     for q in primes_up_to(100):
         if q == p:
             continue
-        st = splitting_in_subfield(q, p, U)
+        st = splitting_in_subfield(q, U)
         assert (st.f == 1) == (q % p in (1, p - 1))
 
 
@@ -117,7 +117,7 @@ def test_quadratic_subfield_compatibility():
         for q in primes_up_to(200):
             if q == 2 or q == p:
                 continue
-            assert splitting_in_subfield(q, p, squares) == splitting_quadratic(q, d)
+            assert splitting_in_subfield(q, squares) == splitting_quadratic(q, d)
 
 
 def test_splits_completely_in_class_field():
@@ -143,7 +143,7 @@ def test_class_field_of_an_ideal_group_is_its_fixed_field():
         for q in primes_up_to(200):
             if m0 % q == 0:
                 continue
-            st = splitting_in_subfield(q, m0, H)
+            st = splitting_in_subfield(q, H)
             assert splits_completely_in_class_field(q, H) == (st.f == 1), (H.modulus, q)
             assert st.degree == H.index, (H.modulus, q)
 
@@ -153,8 +153,17 @@ def test_spl_sets():
     assert spl_set(Cyclotomic(5), 50) == [11, 31, 41]
     G = group_from_unit_residues(7)
     squares = subgroup_generated(G, {G.id_of(2)})
-    fld = CyclotomicSubfield(7, squares)
-    assert spl_set(fld, 60) == [q for q in primes_up_to(60) if q != 7 and kronecker(-7, q) == 1]
+    assert spl_set(squares, 60) == [q for q in primes_up_to(60) if q != 7 and kronecker(-7, q) == 1]
+
+
+def test_a_subgroup_of_another_group_fixes_no_subfield():
+    # Z/6 is no (Z/m)^x, so no m says which cyclotomic field its subgroups act on.
+    U = subgroup_generated(cyclic_group(6), {2})
+    for call in (lambda: splitting_in_subfield(5, U), lambda: spl_set(U, 50)):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            call()
+        assert type(excinfo.value) is InvalidArgumentError
+        assert str(excinfo.value) == "the group of order 6 is not a unit group (Z/m)^x"
 
 
 def _squares_mod_7():
@@ -168,7 +177,7 @@ def _squares_mod_7():
         (lambda: splitting_quadratic(4, 5), InvalidArgumentError, "4 is not prime"),
         (lambda: splitting_cyclotomic(4, 12), InvalidArgumentError, "4 is not prime"),
         (
-            lambda: splitting_in_subfield(4, 7, _squares_mod_7()),
+            lambda: splitting_in_subfield(4, _squares_mod_7()),
             InvalidArgumentError,
             "4 is not prime",
         ),
