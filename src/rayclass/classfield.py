@@ -1,32 +1,32 @@
 """Ray class groups of Q, ideal groups, the Artin map on ray classes, conductors, witnesses.
 
-A modulus is a positive integer m0 plus an optional infinite place.  With the
-infinite place, ray classes mod m0*oo biject with coprime residues mod m0 via
-the unique positive generator of each ideal; without it, (a) = (-a) forces the
-quotient by the class of -1, and classes are labeled by min(r, m0 - r).  So an
-ideal group H is a subgroup of (Z/m0)^x = Gal(Q(zeta_m0)/Q): the residues whose
-ideals lie in H.  It holds -1 when the modulus has no infinite place, so either
-way its index in (Z/m0)^x is (D_m : H).
+A modulus is a positive integer m0 plus an optional infinite place.  An ideal
+coprime to m0 is (a) for a unique a > 0, so an ideal group H is a subgroup of
+(Z/m0)^x = Gal(Q(zeta_m0)/Q): the residues whose ideals lie in H.  Its m0 is
+its parent's modulus.  Without the infinite place (a) = (-a), so H holds -1;
+either way its index in (Z/m0)^x is (D_m : H).  The smallest ideal group is
+the ray P_m^(1), {1} or {+-1}, and the ray classes are its cosets, each named
+by its least residue.  The conductor of any subgroup of (Z/m0)^x is the least
+modulus whose ray lies in it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .arith import divisors, euler_phi, factorize, primes_up_to, require_odd_prime
+from .arith import divisors, factorize, primes_up_to, require_odd_prime
 from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
     NotCoprimeError,
     NotInTakagiGroupError,
-    TooLargeError,
     WitnessNotFoundError,
 )
-from .groups import TABLE_BOUND, Subgroup, require_unit_group, unit_group
+from .groups import Subgroup, require_unit_group, unit_group
 from .symbols import kronecker
 
 
@@ -43,13 +43,6 @@ class Modulus:
 
     def __str__(self) -> str:
         return f"({self.m0}){'oo' if self.infinite else ''}"
-
-    def label(self, residue: int) -> int:
-        """Label of the residue's class: r = residue mod m0, or min(r, m0 - r) without oo; 1 mod 1."""
-        if self.m0 == 1:
-            return 1
-        r = residue % self.m0
-        return r if self.infinite else min(r, self.m0 - r)
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -97,63 +90,51 @@ def fundamental_discriminants(limit: int) -> list[FundamentalDiscriminant]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class RayClassGroup:
-    """D_m / P_m^(1) for Q; each class is its residue label, as in `Modulus.label`."""
-
-    modulus: Modulus
-    labels: tuple[int, ...]
-
-    def class_of(self, residue: int) -> int:
-        """The label of the residue's ray class; NotCoprimeError unless gcd(residue, m0) = 1."""
-        m0 = self.modulus.m0
-        if gcd(residue, m0) != 1:
-            raise NotCoprimeError(f"{residue} is not coprime to {m0}")
-        return self.modulus.label(residue)
-
-
 @dataclass(frozen=True)
 class IdealGroupH(Subgroup):
     """An ideal group P_m^(1) <= H <= D_m, as the subgroup of unit_group(m0) of residues in H."""
 
-    modulus: Modulus = field(kw_only=True)
+    infinite: bool = field(kw_only=True)
+
+    @cached_property
+    def modulus(self) -> Modulus:
+        """m0 is the parent's modulus; InvalidArgumentError unless the parent is some (Z/m0)^x."""
+        return Modulus(require_unit_group(self.parent).modulus, self.infinite)
 
     def validate(self) -> None:
         """InvalidArgumentError unless H is a subgroup of (Z/m0)^x that holds -1 when m has no oo."""
-        m = require_unit_group(self.parent).modulus
-        if m != self.modulus.m0:
-            raise InvalidArgumentError(f"ideal group mod {self.modulus} lies in (Z/{m})^x")
+        m = self.modulus
         super().validate()
-        if not self.modulus.infinite and self.parent.id_of(self.modulus.m0 - 1) not in self:
-            raise InvalidArgumentError(f"ideal group mod {self.modulus} does not hold -1")
+        if not m.infinite and self.parent.id_of(m.m0 - 1) not in self:
+            raise InvalidArgumentError(f"ideal group mod {m} does not hold -1")
 
 
-def ray_class_group(m: Modulus) -> RayClassGroup:
-    """D_m / P_m^(1) as its labels: residues coprime to m0 up to m0, or up to m0 // 2 without oo."""
-    m0 = m.m0
-    # The labels are cheap; the bound caps the labels tuple, and moving it changes which moduli raise.
-    if euler_phi(m0) > TABLE_BOUND:
-        raise TooLargeError(f"phi({m0}) exceeds the table bound {TABLE_BOUND}")
-    if m0 <= 2:
-        return RayClassGroup(modulus=m, labels=(1,))
-    top = m0 if m.infinite else m0 // 2
-    return RayClassGroup(modulus=m, labels=tuple(r for r in range(1, top + 1) if gcd(r, m0) == 1))
+def ray_class_group(m: Modulus) -> IdealGroupH:
+    """The ray P_m^(1) in (Z/m0)^x: {1}, or {+-1} without oo; its cosets are the ray classes."""
+    return _ideal_group(m, {1, 1 if m.infinite else m.m0 - 1}.__contains__)
 
 
-def ideal_class(G: RayClassGroup, num: int, den: int = 1) -> int:
-    """Label of the class of the fractional ideal (num/den); signs are irrelevant to ideals."""
+def ideal_class(P: IdealGroupH, num: int, den: int = 1) -> int:
+    """Least residue of the ray class of the fractional ideal (num/den), P = ray_class_group(m).
+
+    That residue labels the coset's canonical rep, its least id, as ids ascend with the
+    residues.  Signs are irrelevant to ideals.
+    """
     if num == 0 or den <= 0:
         raise InvalidArgumentError("need a nonzero numerator and positive denominator")
-    m0 = G.modulus.m0
+    m0 = P.modulus.m0
     if gcd(abs(num) * den, m0) != 1:
         raise NotCoprimeError(f"{num}/{den} is not coprime to {m0}")
-    return G.class_of(abs(num) * pow(den, -1, m0))
+    G, cosets = P.parent, P.cosets
+    x = G.id_of(abs(num) * pow(den, -1, m0) % m0)
+    return G.label_of(cosets.reps[cosets.canonical[x]])
 
 
 def _ideal_group(m: Modulus, in_H: Callable[[int], bool]) -> IdealGroupH:
     """The validated ideal group mod m of the residues r coprime to m0 with in_H(r)."""
     G = unit_group(m.m0)
-    H = IdealGroupH(parent=G, members=tuple(i for i, r in enumerate(G.labels) if in_H(r)), modulus=m)
+    members = tuple(i for i, r in enumerate(G.labels) if in_H(r))
+    H = IdealGroupH(parent=G, members=members, infinite=m.infinite)
     H.validate()
     return H
 
@@ -168,7 +149,7 @@ def takagi_group_cyclotomic(m: int) -> IdealGroupH:
     """Norm group of Q(zeta_m) mod m*oo: the principal ray alone."""
     if m < 3:
         raise InvalidArgumentError(f"cyclotomic construction needs m >= 3, got {m}")
-    return _ideal_group(Modulus(m, infinite=True), lambda r: r == 1)
+    return ray_class_group(Modulus(m, infinite=True))
 
 
 def squares_group(p: int) -> IdealGroupH:
@@ -204,41 +185,45 @@ class ConstancyReport:
         return self.counterexample is None
 
 
-def _class_values(
-    d: int, label: Callable[[int], int], xs: Iterable[int]
-) -> tuple[dict[int, int], tuple[int, int] | None]:
-    """Each class's (d/x) over xs in order, and the first (x, (d/x)) that clashes with its
-    class, or None; the scan stops at a clash, so later xs are not seen."""
-    values: dict[int, int] = {}
-    for x in xs:
-        chi = kronecker(d, x)
-        if values.setdefault(label(x), chi) != chi:
-            return values, (x, chi)
-    return values, None
-
-
 def artin_class_constancy_check(d: FundamentalDiscriminant | int, bound: int) -> ConstancyReport:
-    """Partition primes <= bound by ray class mod (|d|, oo iff d<0); check (d/.) constant per class."""
+    """Partition primes <= bound by ray class mod (|d|, oo iff d<0); check (d/.) constant per class.
+
+    The scan stops at the first prime whose value clashes with its class, so later primes are not seen.
+    """
     d = FundamentalDiscriminant.of(d)
-    G = ray_class_group(d.modulus)
+    P = ray_class_group(d.modulus)
     dd = abs(d.d)
-    values, counterexample = _class_values(
-        d.d, G.class_of, (p for p in primes_up_to(bound) if dd % p != 0)
-    )
+    label = {r: ideal_class(P, r) for r in P.parent.labels}
+    values: dict[int, int] = {}
+    counterexample = None
+    for p in primes_up_to(bound):
+        if dd % p == 0:
+            continue
+        chi = kronecker(d.d, p)
+        if values.setdefault(label[p % dd], chi) != chi:
+            counterexample = (p, chi)
+            break
     return ConstancyReport(class_values=tuple(sorted(values.items())), counterexample=counterexample)
 
 
+def conductor(H: Subgroup) -> Modulus:
+    """The least modulus whose ray lies in H <= (Z/m0)^x: its finite part f divides m0.
+
+    Divisors f ascend, and for each f the ray of (f), every x = +-1 mod f, is tried
+    before that of f*oo, every x = 1 mod f.  The ray of m0*oo is {1}, so one is found.
+    """
+    G = require_unit_group(H.parent)
+    return next(
+        Modulus(f, infinite)
+        for f in divisors(G.modulus)
+        for infinite, ray in ((False, {1 % f, -1 % f}), (True, {1 % f}))
+        if all(i in H for i, r in enumerate(G.labels) if r % f in ray)
+    )
+
+
 def conductor_quadratic(d: FundamentalDiscriminant | int) -> Modulus:
-    """Smallest modulus (finite part dividing |d|) the quadratic character factors through."""
-    d = FundamentalDiscriminant.of(d)
-    dd = abs(d.d)
-    units = [r for r in range(1, dd + 1) if gcd(r, dd) == 1]
-    for f in divisors(dd):
-        for infinite in (False, True):
-            m = Modulus(f, infinite=infinite)
-            if _class_values(d.d, m.label, units)[1] is None:
-                return m
-    raise InvalidArgumentError(f"character mod {d.d} factors through no divisor modulus")  # unreachable
+    """Conductor of Q(sqrt(d)), the conductor of its norm group."""
+    return conductor(takagi_group_quadratic(d))
 
 
 def takagi_witness(

@@ -4,7 +4,7 @@ from math import log2
 
 import pytest
 
-from rayclass import classfield
+from rayclass import classfield, verify
 from rayclass.arith import euler_phi, mult_order, primes_up_to
 from rayclass.classfield import (
     ConstancyReport,
@@ -12,6 +12,7 @@ from rayclass.classfield import (
     IdealGroupH,
     Modulus,
     artin_class_constancy_check,
+    conductor,
     conductor_quadratic,
     first_inequality_check,
     fundamental_discriminants,
@@ -45,12 +46,17 @@ from rayclass.splitting import qr_via_splitting, splits_completely_in_class_fiel
 from rayclass.symbols import kronecker, legendre_brute
 
 
-def class_order(G, c):
-    """Order of the class labeled c in G: multiply by c until the class of 1 comes back."""
+def class_order(P, c):
+    """Order of the ray class labeled c mod P's modulus: multiply by c until the class of 1 comes back."""
     k, x = 1, c
     while x != 1:
-        k, x = k + 1, G.class_of(x * c)
+        k, x = k + 1, ideal_class(P, x * c)
     return k
+
+
+def class_labels(P):
+    """The least residue of each ray class, one per coset of the ray P, ascending."""
+    return [P.parent.label_of(r) for r in P.cosets.reps]
 
 
 def residues(H):
@@ -77,36 +83,38 @@ def test_fundamental_discriminants():
 
 
 def test_ray_class_group_orders():
-    G = ray_class_group(Modulus(3, True))
-    assert G.labels == (1, 2)
-    G = ray_class_group(Modulus(5, False))
-    assert len(G.labels) == 2
-    G = ray_class_group(Modulus(8, True))
-    assert len(G.labels) == 4
-    assert all(G.class_of(c * c) == 1 for c in G.labels)
+    P = ray_class_group(Modulus(3, True))
+    assert class_labels(P) == [1, 2]
+    P = ray_class_group(Modulus(5, False))
+    assert len(class_labels(P)) == 2
+    P = ray_class_group(Modulus(8, True))
+    assert len(class_labels(P)) == 4
+    assert all(ideal_class(P, c * c) == 1 for c in class_labels(P))
     for m0 in (3, 4, 5, 7, 8, 9, 12):
-        assert len(ray_class_group(Modulus(m0, True)).labels) == euler_phi(m0)
+        assert len(class_labels(ray_class_group(Modulus(m0, True)))) == euler_phi(m0)
 
 
 def test_ray_class_group_no_infinity_quotients_by_sign():
-    G = ray_class_group(Modulus(7, False))
-    assert len(G.labels) == 3
-    assert G.class_of(2) == G.class_of(5)  # (2) = (-2), and -2 = 5 mod 7
-    assert G.class_of(1) == G.class_of(6)
+    P = ray_class_group(Modulus(7, False))
+    assert len(class_labels(P)) == 3
+    assert ideal_class(P, 2) == ideal_class(P, 5)  # (2) = (-2), and -2 = 5 mod 7
+    assert ideal_class(P, 1) == ideal_class(P, 6)
 
 
 def test_ideal_class():
-    G = ray_class_group(Modulus(5, True))
-    assert ideal_class(G, 1, 1) == 1
-    assert ideal_class(G, 7, 1) == 2
-    assert ideal_class(G, 1, 2) == 3
-    assert ideal_class(G, -3, 1) == 3  # ideals forget the sign
+    P = ray_class_group(Modulus(5, True))
+    assert ideal_class(P, 1, 1) == 1
+    assert ideal_class(P, 7, 1) == 2
+    assert ideal_class(P, 1, 2) == 3
+    assert ideal_class(P, -3, 1) == 3  # ideals forget the sign
     assert ideal_class(ray_class_group(Modulus(7)), 1, 2) == 3  # 2^-1 = 4 = -3 mod 7
-    assert ideal_class(ray_class_group(Modulus(1)), 3, 7) == 1
+    with pytest.raises(InvalidArgumentError) as err:
+        ray_class_group(Modulus(1))
+    assert str(err.value) == "modulus must be >= 2, got 1"
     with pytest.raises(NotCoprimeError):
-        ideal_class(G, 10, 1)
+        ideal_class(P, 10, 1)
     with pytest.raises(InvalidArgumentError):
-        ideal_class(G, 0, 1)
+        ideal_class(P, 0, 1)
 
 
 def test_takagi_group_quadratic_examples():
@@ -153,12 +161,12 @@ def test_squares_group():
 
 def test_artin_symbol_cyclotomic():
     # Frobenius of an unramified p in Q(zeta_m) is p's ray class mod m*oo; its order is ord(p mod m).
-    assert ray_class_group(Modulus(12, True)).class_of(13) == 1
-    assert ray_class_group(Modulus(7, True)).class_of(2) == 2
+    assert ideal_class(ray_class_group(Modulus(12, True)), 13) == 1
+    assert ideal_class(ray_class_group(Modulus(7, True)), 2) == 2
     assert class_order(ray_class_group(Modulus(7, True)), 2) == 3
     for p, m in ((3, 7), (5, 12), (11, 35)):
-        G = ray_class_group(Modulus(m, True))
-        assert class_order(G, G.class_of(p)) == mult_order(p, m)
+        P = ray_class_group(Modulus(m, True))
+        assert class_order(P, ideal_class(P, p)) == mult_order(p, m)
 
 
 def test_artin_class_constancy():
@@ -196,6 +204,39 @@ def test_conductor_quadratic():
         assert conductor_quadratic(d) == Modulus(abs(d.d), d.d < 0)
 
 
+def test_conductor_of_every_subgroup_of_units_mod_m():
+    # The conductor of Q(zeta_m)^U; for index-2 U, Q(sqrt(d)) with the one fundamental d,
+    # |d| | m, whose character's kernel is U; for U = 1, Q(zeta_m), whose conductor is m*oo,
+    # or (m/2)*oo when m = 2 mod 4, as Q(zeta_m) = Q(zeta_(m/2)) then.
+    subgroups = quadratic = 0
+    for m in range(3, 61):
+        G = unit_group(m)
+        for U in verify._all_subgroups(G):
+            subgroups += 1
+            f = conductor(U)
+            assert m % f.m0 == 0, (m, U.members)
+            if U.index == 2:
+                quadratic += 1
+                residues_of_U = set(residues(U))
+                (d,) = [
+                    d
+                    for d in fundamental_discriminants(m)
+                    if m % abs(d.d) == 0
+                    and all((kronecker(d.d, r) == 1) == (r in residues_of_U) for r in G.labels)
+                ]
+                assert f == d.modulus, (m, residues_of_U)
+            if U.order == 1:
+                assert f == Modulus(m // 2 if m % 4 == 2 else m, True), m
+    assert (subgroups, quadratic) == (520, 128)
+
+
+def test_conductor_quadratic_is_bounded_by_the_unit_group():
+    assert conductor_quadratic(-4091) == Modulus(4091, True)
+    with pytest.raises(TooLargeError) as err:
+        conductor_quadratic(-4099)
+    assert str(err.value) == "group of order 4098 exceeds table bound 4096"
+
+
 def test_takagi_witness_examples():
     assert takagi_witness(6, 5) == ()
     assert takagi_witness(4, 5, 100) == ((19, 1),)
@@ -223,10 +264,10 @@ def test_takagi_witness_falls_back_to_the_split_prime_search():
         ),
         (lambda: first_inequality_check(squares_group(5), 0), InvalidArgumentError, "degree must be positive, got 0"),
         (lambda: takagi_witness(0, 5), InvalidArgumentError, "need a positive integer, got 0"),
-        (lambda: ray_class_group(Modulus(8191)), TooLargeError, "phi(8191) exceeds the table bound 4096"),
-        (lambda: ray_class_group(Modulus(12)).class_of(9), NotCoprimeError, "9 is not coprime to 12"),
+        (lambda: ray_class_group(Modulus(8191)), TooLargeError, "group of order 8190 exceeds table bound 4096"),
+        (lambda: ideal_class(ray_class_group(Modulus(12)), 9), NotCoprimeError, "9/1 is not coprime to 12"),
     ],
-    ids=["takagi_group_cyclotomic", "first_inequality_check", "takagi_witness", "ray_class_group", "class_of"],
+    ids=["takagi_group_cyclotomic", "first_inequality_check", "takagi_witness", "ray_class_group", "ideal_class"],
 )
 def test_classfield_api_raises_typed_errors(call, error, message):
     with pytest.raises(error) as excinfo:
@@ -270,28 +311,27 @@ def test_squares_group_matches_legendre():
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
 def test_ray_classes_agree_with_the_table_route(infinite):
-    # The table route: (Z/n)^x, n = max(m0, 2) (trivial for m0 <= 2), whose ray classes
-    # are the cosets of <1> (with oo) or of <-1> (without).
-    for m0 in range(1, 61):
+    # The table route: (Z/m0)^x, whose ray classes are the cosets of <1> (with oo) or of <-1>
+    # (without).  Modulus 1 has no (Z/1)^x; `test_modulus_1_has_no_ray_class_group` pins it.
+    for m0 in range(2, 61):
         m = Modulus(m0, infinite)
-        G = ray_class_group(m)
-        n = max(m0, 2)
-        T = group_from_unit_residues(n)
-        U = subgroup_generated(T, {T.id_of(1 if infinite else n - 1)})
+        P = ray_class_group(m)
+        T = group_from_unit_residues(m0)
+        U = subgroup_generated(T, {T.id_of(1 if infinite else m0 - 1)})
         reps, canonical, position = U.cosets.reps, U.cosets.canonical, U.cosets.position
         if infinite:
-            assert G.labels == T.labels, m
-        assert G.labels == tuple(T.label_of(r) for r in reps), m
+            assert class_labels(P) == list(T.labels), m
+        assert class_labels(P) == [T.label_of(r) for r in reps], m
 
         def label(i):
             return T.label_of(reps[position[canonical[i]]])
 
         for a in reps:
             x = T.label_of(a)
-            assert G.class_of(pow(x, -1, n)) == label(T.inv(a)), (m, a)
-            assert class_order(G, G.class_of(x)) == coset_order(U, a), (m, a)
+            assert ideal_class(P, pow(x, -1, m0)) == label(T.inv(a)), (m, a)
+            assert class_order(P, ideal_class(P, x)) == coset_order(U, a), (m, a)
             for b in reps:
-                assert G.class_of(x * T.label_of(b)) == label(T.op(a, b)), (m, a, b)
+                assert ideal_class(P, x * T.label_of(b)) == label(T.op(a, b)), (m, a, b)
 
 
 def test_squares_group_agrees_with_the_table_squares():
@@ -320,21 +360,26 @@ def test_takagi_group_quadratic_is_the_kernel_of_the_character():
 )
 def test_ideal_group_validate_rejects(m, members, message):
     with pytest.raises(InvalidArgumentError) as err:
-        IdealGroupH(parent=unit_group(m.m0), members=members, modulus=m).validate()
+        IdealGroupH(parent=unit_group(m.m0), members=members, infinite=m.infinite).validate()
     assert str(err.value) == message
 
 
 def test_ideal_group_validate_rejects_a_parent_that_is_not_units_mod_m0():
-    # The squares of (Z/7)^x read mod (9)oo would make 13 split (13 = 6 mod 7 is no
-    # square) and 23 not (23 = 2 mod 7 is one).
-    H = IdealGroupH(parent=unit_group(7), members=squares_group(7).members, modulus=Modulus(9, True))
-    with pytest.raises(InvalidArgumentError) as err:
-        H.validate()
-    assert str(err.value) == "ideal group mod (9)oo lies in (Z/7)^x"
-    H = IdealGroupH(parent=cyclic_group(6), members=(0, 2, 4), modulus=Modulus(7, True))
+    H = IdealGroupH(parent=cyclic_group(6), members=(0, 2, 4), infinite=True)
     with pytest.raises(InvalidArgumentError) as err:
         H.validate()
     assert str(err.value) == "the group of order 6 is not a unit group (Z/m)^x"
+
+
+def test_an_ideal_group_reads_m0_from_its_parent_even_unvalidated():
+    # Read mod a second m0 of (9)oo, the squares of (Z/7)^x made 13 split (13 = 6 mod 7 is
+    # no square) and 23 not (23 = 2 mod 7 is one).  There is no second m0 to give.
+    H = IdealGroupH(parent=unit_group(7), members=squares_group(7).members, infinite=True)
+    assert H.modulus == Modulus(7, True)
+    assert not splits_completely_in_class_field(13, H)
+    assert splits_completely_in_class_field(23, H)
+    with pytest.raises(TypeError):
+        IdealGroupH(parent=unit_group(7), members=squares_group(7).members, modulus=Modulus(9, True))
 
 
 def test_class_field_builders_build_no_table(monkeypatch):
@@ -346,15 +391,15 @@ def test_class_field_builders_build_no_table(monkeypatch):
         built.append(group.order)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counted)
-    for m0 in (1, 2, 7, 12, 60):
+    for m0 in (2, 7, 12, 60):
         for infinite in (True, False):
-            G = ray_class_group(Modulus(m0, infinite))
-            assert ideal_class(G, 1, 1) == 1
+            P = ray_class_group(Modulus(m0, infinite))
+            assert ideal_class(P, 1, 1) == 1
     squares_group(541)
     takagi_group_quadratic(-87)
     takagi_group_cyclotomic(60)
-    G = ray_class_group(Modulus(60, True))
-    assert class_order(G, G.class_of(7)) == mult_order(7, 60)
+    P = ray_class_group(Modulus(60, True))
+    assert class_order(P, ideal_class(P, 7)) == mult_order(7, 60)
     artin_class_constancy_check(13, 200)
     conductor_quadratic(-84)
     takagi_witness(4, 5)
@@ -364,10 +409,12 @@ def test_class_field_builders_build_no_table(monkeypatch):
 
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
-def test_modulus_1_labels_every_residue_1(infinite):
+def test_modulus_1_has_no_ray_class_group(infinite):
+    # Modulus(1) builds, but the ray lives in (Z/m0)^x, and unit_group needs m0 >= 2.
     m = Modulus(1, infinite)
-    assert [m.label(r) for r in (-1, 0, 1, 2)] == [1, 1, 1, 1]
-    assert ray_class_group(m).labels == (1,)
+    with pytest.raises(InvalidArgumentError) as err:
+        ray_class_group(m)
+    assert str(err.value) == "modulus must be >= 2, got 1"
 
 
 @pytest.mark.parametrize("infinite", [True, False], ids=["oo", "finite"])
@@ -381,7 +428,7 @@ def test_ideal_group_validate_agrees_with_the_all_pairs_rule(infinite):
         for k in range(len(others) + 1):
             for rest in combinations(others, k):
                 s = (G.identity, *rest)
-                H = IdealGroupH(parent=G, members=s, modulus=m)
+                H = IdealGroupH(parent=G, members=s, infinite=infinite)
                 closed = all(G.op(a, b) in s for a in s for b in s)
                 if closed and (infinite or G.id_of(m0 - 1) in s):
                     H.validate()

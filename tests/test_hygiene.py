@@ -6,8 +6,8 @@ Every module-level private name is used somewhere in the package, every
 public function and class is used there or exported, and `rayclass.__all__`
 lists exactly the names `__init__.py` re-exports.  Only the transfer-props
 corpus builds the stored (Z/m)^x table, only `groups` constructs a `UnitGroup`
-or walks a member set with `require_subgroup`, no other group has labels, and
-only `verify._fork_map` forks.
+or walks a member set with `require_subgroup`, only `classfield` constructs an
+`IdealGroupH`, no other group has labels, and only `verify._fork_map` forks.
 `symbols` takes nothing from `arith` but the prime check.  No module reads a
 private attribute of `random.Random`.
 """
@@ -94,9 +94,9 @@ def test_every_module_level_private_name_is_used():
     assert dead == []
 
 
-# The one public name no package module calls: bench/tracer.TRACED wraps it by
-# name, so it goes when the tracer drops it (ROADMAP item 1).
-UNCALLED_BUT_TRACED = {"classfield.py ideal_class"}
+# Public names no package module calls, kept only because bench/tracer.TRACED wraps
+# them by name; none is left, and a name listed here goes when the tracer drops it.
+UNCALLED_BUT_TRACED: set[str] = set()
 
 
 def test_every_public_function_and_class_is_used_or_exported():
@@ -157,6 +157,15 @@ def test_only_groups_constructs_a_unit_group():
 
 def test_only_unit_groups_have_labels():
     assert [name for name in ("labels", "label_of", "id_of") if hasattr(FiniteGroup, name)] == []
+
+
+# An ideal group reads m0 from its parent (Z/m0)^x, and `classfield._ideal_group`, the one
+# place that builds one, validates it.
+IDEAL_GROUP_BUILDERS = {"classfield.py"}
+
+
+def test_only_classfield_constructs_an_ideal_group():
+    assert _calls_outside("IdealGroupH", IDEAL_GROUP_BUILDERS) == []
 
 
 # Every subgroup outside `groups` is a `groups.Subgroup` (ideal groups included),
